@@ -27,11 +27,12 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..graph import (
     AnchorBatchSampler,
+    BatchCache,
     Graph,
+    SubgraphBatch,
     extract_phase1_batch,
     extract_phase2_batch,
     khop_edge_index,
@@ -203,11 +204,10 @@ def phase1_batch_loss(
 ) -> Phase1BatchResult:
     """Forward + loss for one phase-1 anchor batch (no backward, no step).
 
-    Shared by :meth:`SESTrainer._explainable_epoch_minibatch` and the
-    ``repro.parallel`` workers.  The op sequence here is parity-critical:
-    it fixes the order of every dropout draw and every floating-point
-    reduction, which is what makes covering-batch runs bit-identical to
-    full-batch ones and parallel runs bit-identical at any worker count.
+    Every training mode runs it through :func:`batch_backward`.  The op
+    sequence here is parity-critical: it fixes the order of every dropout
+    draw and every floating-point reduction, which is what keeps parallel
+    runs bit-identical at any worker count.
     """
     labels_local = graph.labels[batch.nodes]
     train_local = graph.train_mask[batch.nodes]
@@ -310,8 +310,7 @@ def phase2_batch_loss(
     """Forward + loss for one phase-2 anchor batch under the frozen masks.
 
     ``features_data``/``edge_weight_data`` are the *full-graph* masked
-    constants (Eq. 10); the batch sees row/column slices of them.  Shared by
-    the minibatch loop and the parallel workers — see
+    constants (Eq. 10); the batch sees row/column slices of them.  See
     :func:`phase1_batch_loss` for why the op order is pinned.
     """
     labels_local = graph.labels[batch.nodes]
@@ -362,6 +361,77 @@ def phase2_batch_loss(
         loss=loss, representation=representation, logits=logits,
         anchor=anchor, positive=positive, negative=negative,
     )
+
+
+def cached_batch(
+    cache: BatchCache,
+    phase: str,
+    graph: Graph,
+    anchors: np.ndarray,
+    hops: int,
+    khop_edges: np.ndarray,
+    negative_pairs: np.ndarray,
+    pooled: Optional[tuple],
+) -> SubgraphBatch:
+    """The subgraph of one anchor batch, from ``cache`` or freshly extracted.
+
+    The single extraction path of the trainer and the ``repro.parallel``
+    workers.  ``pooled`` is phase 2's pooled-pair tuple for ``anchors``
+    (unused in phase 1).
+    """
+    def extract() -> SubgraphBatch:
+        if phase == "explainable":
+            return extract_phase1_batch(
+                graph, anchors, khop_edges, negative_pairs, hops=hops
+            )
+        return extract_phase2_batch(graph, anchors, pooled, hops=hops)
+
+    return cache.get(phase, anchors, extract)
+
+
+def batch_backward(
+    model: SESModel,
+    config: SESConfig,
+    graph: Graph,
+    phase: str,
+    batch: SubgraphBatch,
+    constants: Dict,
+) -> Tuple[Union[Phase1BatchResult, Phase2BatchResult], Dict]:
+    """Forward, loss and backward of one anchor batch (no optimizer step).
+
+    Returns the batch result and its record: ``loss`` (``None`` when the
+    batch has nothing to optimise, in which case there is no backward) and,
+    in phase 1, the edge-sensitivity probe gradient at its global k-hop
+    positions plus the mask-sparsity counts.  The epoch bookkeeping folds
+    records in batch order, which is what keeps every mode bit-identical.
+    ``constants`` carries phase 2's full-graph masked inputs.
+    """
+    if phase == "explainable":
+        result = phase1_batch_loss(model, config, graph, batch)
+    else:
+        result = phase2_batch_loss(
+            model, config, graph, batch,
+            constants["features_data"], constants["edge_weight_data"],
+        )
+    if result.loss is None:
+        return result, {"loss": None}
+    result.loss.backward()
+    record = {"loss": result.loss.item()}
+    if phase == "explainable":
+        probe = result.probe
+        record.update(
+            khop_positions=batch.khop_positions,
+            probe_grad=(
+                probe.grad.copy()
+                if probe is not None and probe.grad is not None
+                else None
+            ),
+            feat_below=int((result.feature_mask.data < 0.5).sum()),
+            feat_total=int(result.feature_mask.data.size),
+            struct_below=int((result.structure_mask.data < 0.5).sum()),
+            struct_total=int(max(result.structure_mask.data.size, 1)),
+        )
+    return result, record
 
 
 class SESTrainer:
@@ -435,11 +505,12 @@ class SESTrainer:
         self._completed: Dict[str, int] = {"explainable": 0, "predictive": 0}
         self._optimizers: Dict[str, Adam] = {}
         # Minibatch mode (docs/PERF.md): a dedicated sampler partitions the
-        # node set into anchor batches; None means full-batch training.  The
-        # batch cache holds extracted subgraphs keyed on anchor content so a
-        # covering batch (batch_size >= N) extracts once, not once per epoch.
+        # node set into anchor batches; None means full-batch training, which
+        # runs one covering batch.  The batch cache holds extracted subgraphs
+        # keyed on anchor content so a covering batch extracts once, not once
+        # per epoch.
         self._sampler: Optional[AnchorBatchSampler] = None
-        self._batch_cache: Dict[Tuple, object] = {}
+        self._batch_cache = BatchCache()
         # Data-parallel mode (docs/PARALLEL.md): a WorkerSupervisor shards
         # anchor batches across spawned processes and reduces gradients in a
         # fixed order; None means single-process training.  Mutually
@@ -510,8 +581,11 @@ class SESTrainer:
             max_per_node=self.config.max_negatives_per_node,
         )
         self.negative_pairs = negative_edge_index(self._negative_sets)
-        # Cached phase-1 subgraphs embed the old negative pairs.
+        # Cached phase-1 subgraphs and the constants workers hold embed the
+        # old negative pairs.
         self._batch_cache.clear()
+        if self._parallel is not None:
+            self._parallel.invalidate_constants()
 
     # ------------------------------------------------------------------
     # Minibatch mode (docs/PERF.md)
@@ -562,10 +636,8 @@ class SESTrainer:
         self,
         workers: int,
         shards: Optional[int] = None,
-        heartbeat_interval: Optional[float] = None,
         heartbeat_timeout: Optional[float] = None,
         max_restarts: Optional[int] = None,
-        restart_backoff: Optional[float] = None,
     ) -> None:
         """Enable fault-tolerant data-parallel training with ``workers``.
 
@@ -591,10 +663,8 @@ class SESTrainer:
             key: value
             for key, value in (
                 ("shards", shards),
-                ("heartbeat_interval", heartbeat_interval),
                 ("heartbeat_timeout", heartbeat_timeout),
                 ("max_restarts", max_restarts),
-                ("restart_backoff", restart_backoff),
             )
             if value is not None
         }
@@ -647,43 +717,6 @@ class SESTrainer:
         if self._parallel is not None:
             self._parallel.stop_workers()
 
-    def _phase1_batch(self, anchors: np.ndarray):
-        """Extract (or reuse) the phase-1 subgraph for one anchor batch."""
-        key = ("phase1", anchors.tobytes())
-        batch = self._batch_cache.get(key)
-        if batch is None:
-            if len(self._batch_cache) >= 32:
-                self._batch_cache.clear()
-            batch = extract_phase1_batch(
-                self.graph,
-                anchors,
-                self.khop_edges,
-                self.negative_pairs,
-                hops=self.model.encoder.num_layers,
-            )
-            self._batch_cache[key] = batch
-        return batch
-
-    def _phase2_batch(self, anchors: np.ndarray):
-        """Extract (or reuse) the phase-2 subgraph for one anchor batch."""
-        key = ("phase2", anchors.tobytes())
-        batch = self._batch_cache.get(key)
-        if batch is None:
-            if len(self._batch_cache) >= 32:
-                self._batch_cache.clear()
-            if self.config.use_triplet and self.pairs is not None:
-                pooled = pooled_pair_indices(
-                    self.pairs, self.num_nodes, anchors=anchors
-                )
-            else:
-                empty = np.empty(0, dtype=np.int64)
-                pooled = (empty, empty, empty, empty, empty)
-            batch = extract_phase2_batch(
-                self.graph, anchors, pooled, hops=self.model.encoder.num_layers
-            )
-            self._batch_cache[key] = batch
-        return batch
-
     def _optimizer(self, phase: str) -> Adam:
         """The persistent per-phase optimizer (created on first access).
 
@@ -720,8 +753,7 @@ class SESTrainer:
         ``epochs``, so a trainer restored from a mid-phase snapshot continues
         where the interrupted run stopped.
         """
-        cfg = self.config
-        epochs = epochs if epochs is not None else cfg.explainable_epochs
+        epochs = epochs if epochs is not None else self.config.explainable_epochs
         if (
             self._completed["explainable"] >= epochs
             and self._frozen_structure_values is not None
@@ -731,330 +763,9 @@ class SESTrainer:
             # *current* (possibly phase-2-refined) parameters and silently
             # change the explanations mid-pipeline.
             return self.history
-        snapshot_set = set(snapshot_epochs)
-        with self.recorder.phase("explainable", self.stopwatch), \
-                self.monitors.watch("explainable"):
-            if self.recovery is not None:
-                self.recovery.ensure_baseline(self)
-            while self._completed["explainable"] < epochs:
-                epoch = self._completed["explainable"]
-                self.faults.check_crash("explainable", epoch)
-                if self._parallel is not None:
-                    body = lambda: self._explainable_epoch_parallel(  # noqa: E731
-                        epoch, epochs, snapshot_set, callback
-                    )
-                elif self._sampler is not None:
-                    body = lambda: self._explainable_epoch_minibatch(  # noqa: E731
-                        epoch, epochs, snapshot_set, callback
-                    )
-                else:
-                    body = lambda: self._explainable_epoch(  # noqa: E731
-                        epoch, epochs, snapshot_set, callback
-                    )
-                status = self._run_epoch_guarded("explainable", epoch, body)
-                if status == "degrade":
-                    break
-                if status == "ok":
-                    self._completed["explainable"] = epoch + 1
-                    self._after_epoch("explainable")
+        self._train_phase("explainable", epochs, set(snapshot_epochs), callback)
         self._freeze_masks()
         return self.history
-
-    def _explainable_epoch(
-        self,
-        epoch: int,
-        epochs: int,
-        snapshot_set: set,
-        callback: Optional[Callable[[int, float], None]],
-    ) -> float:
-        """One explainable-training epoch; returns the epoch loss."""
-        cfg = self.config
-        graph, model = self.graph, self.model
-        optimizer = self._optimizer("explainable")
-        if cfg.resample_negatives and epoch > 0:
-            self._resample_negatives()
-        model.train()
-        optimizer.zero_grad()
-        self.monitors.set_context(phase="explainable", epoch=epoch)
-        with self.recorder.span(f"epoch{epoch}"):
-            with self.recorder.span("forward"):
-                hidden, representation, logits = model.encoder.forward_full(
-                    self.features, self.edge_index, self.num_nodes
-                )
-                scorer_input = (
-                    representation
-                    if cfg.structure_scorer_input == "representation"
-                    else hidden
-                )
-                feature_mask = model.mask_generator.feature_mask(hidden)
-                structure_mask = model.mask_generator.structure_mask(
-                    scorer_input, self.khop_edges
-                )
-                negative_mask = model.mask_generator.negative_mask(
-                    scorer_input, self.negative_pairs
-                )
-                plain_xent = F.cross_entropy(
-                    logits, graph.labels, mask=graph.train_mask
-                )
-                sub_loss = subgraph_loss(
-                    structure_mask,
-                    negative_mask,
-                    self.khop_edges,
-                    self.negative_pairs,
-                    labels=graph.labels,
-                    train_mask=graph.train_mask,
-                    target_mode=cfg.subgraph_target,
-                )
-                masked_xent = None
-                probe = None
-                if cfg.use_masked_xent:
-                    masked_features = (
-                        self.features * feature_mask
-                        if cfg.use_feature_mask
-                        else self.features
-                    )
-                    # A zero additive probe exposes the per-edge
-                    # sensitivity of the masked loss
-                    # (probe.grad = dL/dw_e) without changing the
-                    # forward pass; accumulated over the second half
-                    # of training it becomes the sensitivity component
-                    # of E_sub (config.structure_explanation).
-                    probe = Tensor(
-                        np.zeros(self.khop_edges.shape[1]), requires_grad=True
-                    )
-                    masked_logits = model.encoder(
-                        masked_features,
-                        self.khop_edges,
-                        self.num_nodes,
-                        edge_weight=structure_mask + probe,
-                    )
-                    masked_xent = F.cross_entropy(
-                        masked_logits, graph.labels, mask=graph.train_mask
-                    )
-                loss = explainable_training_loss(
-                    plain_xent, masked_xent, sub_loss, cfg.alpha,
-                    sub_loss_weight=cfg.sub_loss_weight,
-                )
-            with self.recorder.span("backward"):
-                loss.backward()
-            optimizer.step()
-        if self.monitors:
-            self.monitors.after_backward(
-                "explainable", epoch, self.model.named_parameters()
-            )
-            self.monitors.observe_masks(
-                "explainable", epoch,
-                feature=feature_mask.data, structure=structure_mask.data,
-            )
-            self.monitors.observe_activations(
-                "explainable", epoch,
-                hidden=hidden.data, logits=logits.data,
-            )
-        if probe is not None and probe.grad is not None and epoch >= epochs // 2:
-            # Negative gradient: making this edge heavier lowers the
-            # masked classification loss -> the edge is important.
-            self._edge_sensitivity += np.maximum(-probe.grad, 0.0)
-
-        self.history.phase1_loss.append(loss.item())
-        if graph.val_mask is not None and graph.val_mask.any():
-            self.history.phase1_val_accuracy.append(
-                self._evaluate_plain(graph.val_mask)
-            )
-        if self.recorder.enabled:
-            self.recorder.epoch(
-                "explainable",
-                epoch,
-                loss.item(),
-                val_accuracy=(
-                    self.history.phase1_val_accuracy[-1]
-                    if self.history.phase1_val_accuracy
-                    else None
-                ),
-                feature_mask_sparsity=float(np.mean(feature_mask.data < 0.5)),
-                structure_mask_sparsity=float(np.mean(structure_mask.data < 0.5)),
-            )
-        if epoch in snapshot_set:
-            self.history.mask_snapshots[epoch] = (
-                feature_mask.data.copy(),
-                structure_mask.data.copy(),
-            )
-        if callback is not None:
-            callback(epoch, loss.item())
-        return loss.item()
-
-    def _explainable_epoch_minibatch(
-        self,
-        epoch: int,
-        epochs: int,
-        snapshot_set: set,
-        callback: Optional[Callable[[int, float], None]],
-    ) -> float:
-        """One phase-1 epoch over sampled anchor batches; returns the mean loss.
-
-        Per batch: plain forward on the induced base subgraph, mask scoring
-        over the batch's k-hop and negative pairs, ``L_sub`` restricted to
-        edges *centred* in the batch (each k-hop edge supervised exactly once
-        per epoch), masked forward + xent over the batch's train anchors, and
-        one optimizer step.  Edge sensitivity accumulates into the global
-        positions.  With a covering batch every array equals its full-batch
-        counterpart, so the trajectory is bit-identical (tested).
-        """
-        cfg = self.config
-        graph, model = self.graph, self.model
-        optimizer = self._optimizer("explainable")
-        if cfg.resample_negatives and epoch > 0:
-            self._resample_negatives()
-        model.train()
-        self.monitors.set_context(phase="explainable", epoch=epoch)
-        batches = self._sampler.epoch_batches()
-        losses: List[float] = []
-        # Sparsity telemetry aggregated as counts so the epoch-level numbers
-        # match the full-batch record exactly when one batch covers the graph.
-        feat_below = feat_total = struct_below = struct_total = 0
-        with self.recorder.span(f"epoch{epoch}"):
-            for index, anchors in enumerate(batches):
-                batch = self._phase1_batch(anchors)
-                optimizer.zero_grad()
-                with self.recorder.span(f"batch{index}"):
-                    result = phase1_batch_loss(model, cfg, graph, batch)
-                    result.loss.backward()
-                optimizer.step()
-                loss, probe = result.loss, result.probe
-                feature_mask, structure_mask = result.feature_mask, result.structure_mask
-                losses.append(loss.item())
-                if probe is not None and probe.grad is not None and epoch >= epochs // 2:
-                    self._edge_sensitivity[batch.khop_positions] += np.maximum(
-                        -probe.grad, 0.0
-                    )
-                feat_below += int((feature_mask.data < 0.5).sum())
-                feat_total += feature_mask.data.size
-                struct_below += int((structure_mask.data < 0.5).sum())
-                struct_total += max(structure_mask.data.size, 1)
-                if self.monitors:
-                    self.monitors.observe_masks(
-                        "explainable", epoch,
-                        feature=feature_mask.data, structure=structure_mask.data,
-                    )
-                    self.monitors.observe_activations(
-                        "explainable", epoch,
-                        hidden=result.hidden.data, logits=result.logits.data,
-                    )
-        if self.monitors:
-            self.monitors.after_backward(
-                "explainable", epoch, self.model.named_parameters()
-            )
-        _BATCHES_TOTAL.inc(len(batches), phase="explainable")
-        epoch_loss = float(np.mean(losses)) if losses else 0.0
-        self.history.phase1_loss.append(epoch_loss)
-        if graph.val_mask is not None and graph.val_mask.any():
-            self.history.phase1_val_accuracy.append(
-                self._evaluate_plain(graph.val_mask)
-            )
-        if self.recorder.enabled:
-            self.recorder.epoch(
-                "explainable",
-                epoch,
-                epoch_loss,
-                val_accuracy=(
-                    self.history.phase1_val_accuracy[-1]
-                    if self.history.phase1_val_accuracy
-                    else None
-                ),
-                feature_mask_sparsity=float(feat_below / max(feat_total, 1)),
-                structure_mask_sparsity=float(struct_below / max(struct_total, 1)),
-                num_batches=len(batches),
-                batch_size=self._sampler.batch_size,
-            )
-        if epoch in snapshot_set:
-            # Batches only see mask slices, so snapshots come from a full
-            # eval-mode scoring pass (no RNG draws — parity is unaffected).
-            self.history.mask_snapshots[epoch] = self._score_masks_eval()
-        if callback is not None:
-            callback(epoch, epoch_loss)
-        return epoch_loss
-
-    def _explainable_epoch_parallel(
-        self,
-        epoch: int,
-        epochs: int,
-        snapshot_set: set,
-        callback: Optional[Callable[[int, float], None]],
-    ) -> float:
-        """One phase-1 epoch sharded across the worker pool (docs/PARALLEL.md).
-
-        Workers compute per-shard losses and gradients under derived dropout
-        streams; the supervisor reduces them in fixed shard order and the
-        trainer applies one aggregated optimizer step per epoch.  The
-        trajectory depends only on the shard structure — never on the worker
-        count, restarts, or degradation.
-        """
-        cfg = self.config
-        graph, model = self.graph, self.model
-        optimizer = self._optimizer("explainable")
-        supervisor = self._parallel
-        if cfg.resample_negatives and epoch > 0:
-            self._resample_negatives()
-            supervisor.invalidate_constants()
-        model.train()
-        self.monitors.set_context(phase="explainable", epoch=epoch)
-        batches = supervisor.epoch_shards()
-        with self.recorder.span(f"epoch{epoch}"):
-            outcome = supervisor.run_epoch(
-                "explainable",
-                epoch,
-                batches,
-                params=[p.data.copy() for p in phase_parameters(model, "explainable")],
-                constants={"negative_pairs": self.negative_pairs},
-            )
-            optimizer.zero_grad()
-            if outcome.num_contributing:
-                for param, grad in zip(
-                    phase_parameters(model, "explainable"), outcome.grads
-                ):
-                    param.grad = grad
-                optimizer.step()
-        if epoch >= epochs // 2:
-            # Shard order is fixed, so the accumulation order (and therefore
-            # the floating-point sum) matches the in-process reference.
-            for positions, grad in outcome.probes:
-                self._edge_sensitivity[positions] += np.maximum(-grad, 0.0)
-        if self.monitors:
-            self.monitors.after_backward(
-                "explainable", epoch, self.model.named_parameters()
-            )
-        _BATCHES_TOTAL.inc(len(batches), phase="explainable")
-        epoch_loss = outcome.loss
-        self.history.phase1_loss.append(epoch_loss)
-        if graph.val_mask is not None and graph.val_mask.any():
-            self.history.phase1_val_accuracy.append(
-                self._evaluate_plain(graph.val_mask)
-            )
-        if self.recorder.enabled:
-            self.recorder.epoch(
-                "explainable",
-                epoch,
-                epoch_loss,
-                val_accuracy=(
-                    self.history.phase1_val_accuracy[-1]
-                    if self.history.phase1_val_accuracy
-                    else None
-                ),
-                feature_mask_sparsity=float(
-                    outcome.feat_below / max(outcome.feat_total, 1)
-                ),
-                structure_mask_sparsity=float(
-                    outcome.struct_below / max(outcome.struct_total, 1)
-                ),
-                num_shards=len(batches),
-                num_workers=supervisor.alive_workers,
-            )
-        if epoch in snapshot_set:
-            # Shards only see mask slices, so snapshots come from a full
-            # eval-mode scoring pass (no RNG draws — parity is unaffected).
-            self.history.mask_snapshots[epoch] = self._score_masks_eval()
-        if callback is not None:
-            callback(epoch, epoch_loss)
-        return epoch_loss
 
     def _score_masks_eval(self) -> Tuple[np.ndarray, np.ndarray]:
         """Full-graph eval-mode mask scoring (no grad, no RNG draws)."""
@@ -1158,314 +869,278 @@ class SESTrainer:
         epochs = epochs if epochs is not None else cfg.predictive_epochs
         if self.pairs is None and cfg.use_triplet:
             self.build_pairs()
-        features, edge_weight = self._phase2_inputs()
-        # Frozen masks and pairs are constants within the phase, so the
-        # pooled index arrays stay valid across rollbacks and resumes.
-        pooled = (
-            pooled_pair_indices(self.pairs, self.num_nodes)
-            if cfg.use_triplet and self._sampler is None and self._parallel is None
-            else None
-        )
-        with self.recorder.phase("predictive", self.stopwatch), \
-                self.monitors.watch("predictive"):
-            if self.recovery is not None:
-                self.recovery.ensure_baseline(self)
-            while self._completed["predictive"] < epochs:
-                epoch = self._completed["predictive"]
-                self.faults.check_crash("predictive", epoch)
-                if self._parallel is not None:
-                    body = lambda: self._predictive_epoch_parallel(  # noqa: E731
-                        epoch, features, edge_weight, callback
-                    )
-                elif self._sampler is not None:
-                    body = lambda: self._predictive_epoch_minibatch(  # noqa: E731
-                        epoch, features, edge_weight, callback
-                    )
-                else:
-                    body = lambda: self._predictive_epoch(  # noqa: E731
-                        epoch, features, edge_weight, pooled, callback
-                    )
-                status = self._run_epoch_guarded("predictive", epoch, body)
-                if status == "degrade":
-                    break
-                if status == "ok":
-                    self._completed["predictive"] = epoch + 1
-                    self._after_epoch("predictive")
+        self._train_phase("predictive", epochs, set(), callback)
         if cfg.keep_best and self._best_state is not None:
             self.model.load_state_dict(self._best_state)
         return self.history
 
-    def _predictive_epoch(
+    # ------------------------------------------------------------------
+    # The epoch driver: one loop for both phases and every mode
+    # ------------------------------------------------------------------
+    def _train_phase(
         self,
-        epoch: int,
-        features: Tensor,
-        edge_weight: Optional[Tensor],
-        pooled,
+        phase: str,
+        epochs: int,
+        snapshot_set: set,
         callback: Optional[Callable[[int, float], None]],
-    ) -> float:
-        """One predictive-learning epoch; returns the epoch loss."""
-        cfg = self.config
-        graph, model = self.graph, self.model
-        optimizer = self._optimizer("predictive")
-        model.train()
-        optimizer.zero_grad()
-        self.monitors.set_context(phase="predictive", epoch=epoch)
-        anchor = positive = negative = None
-        with self.recorder.span(f"epoch{epoch}"):
-            with self.recorder.span("forward"):
-                _, representation, logits = model.encoder.forward_full(
-                    features, self.edge_index, self.num_nodes,
-                    edge_weight=edge_weight,
-                )
-                xent = None
-                if cfg.use_xent_in_phase2:
-                    xent = F.cross_entropy(
-                        logits, graph.labels, mask=graph.train_mask
-                    )
-                triplet = None
-                if pooled is not None and len(pooled[0]) > 0:
-                    anchors, pos_index, pos_segment, neg_index, neg_segment = pooled
-                    num_anchors = len(anchors)
-                    # Eq. 11: the triplet acts on the encoder's output
-                    # representation (128-d in the paper), not on logits.
-                    pool = (
-                        segment_mean
-                        if cfg.triplet_pooling == "mean"
-                        else segment_sum
-                    )
-                    positive = pool(
-                        gather_rows(representation, pos_index),
-                        pos_segment, num_anchors,
-                    )
-                    negative = pool(
-                        gather_rows(representation, neg_index),
-                        neg_segment, num_anchors,
-                    )
-                    anchor = gather_rows(representation, anchors)
-                    triplet = F.triplet_margin_loss(
-                        anchor, positive, negative, margin=cfg.margin
-                    )
-                loss = predictive_learning_loss(triplet, xent, cfg.beta)
-            with self.recorder.span("backward"):
-                loss.backward()
-            optimizer.step()
-        if self.monitors:
-            self.monitors.after_backward(
-                "predictive", epoch, self.model.encoder.named_parameters()
-            )
-            self.monitors.observe_activations(
-                "predictive", epoch,
-                representation=representation.data, logits=logits.data,
-            )
-            if anchor is not None:
-                self.monitors.observe_triplet(
-                    "predictive", epoch,
-                    np.linalg.norm(anchor.data - positive.data, axis=1),
-                    np.linalg.norm(anchor.data - negative.data, axis=1),
-                    cfg.margin,
-                )
+    ) -> None:
+        """Run ``phase`` from ``self._completed[phase]`` up to ``epochs``.
 
-        self.history.phase2_loss.append(loss.item())
-        if graph.val_mask is not None and graph.val_mask.any():
-            masked_val = self._evaluate_masked(graph.val_mask)
-            plain_val = self._evaluate_plain(graph.val_mask)
-            self.history.phase2_val_accuracy.append(max(masked_val, plain_val))
-            if cfg.keep_best and max(masked_val, plain_val) > self._best_val:
-                self._best_val = max(masked_val, plain_val)
-                self._best_state = model.state_dict()
-                self._best_readout = (
-                    "masked" if masked_val >= plain_val else "plain"
-                )
-        if self.recorder.enabled:
-            self.recorder.epoch(
-                "predictive",
-                epoch,
-                loss.item(),
-                val_accuracy=(
-                    self.history.phase2_val_accuracy[-1]
-                    if self.history.phase2_val_accuracy
-                    else None
-                ),
-            )
-        if callback is not None:
-            callback(epoch, loss.item())
-        return loss.item()
-
-    def _predictive_epoch_minibatch(
-        self,
-        epoch: int,
-        features: Tensor,
-        edge_weight: Optional[Tensor],
-        callback: Optional[Callable[[int, float], None]],
-    ) -> float:
-        """One phase-2 epoch over sampled anchor batches; returns the mean loss.
-
-        Per batch: forward on the induced base subgraph under the frozen
-        masks (features and edge weights are row/column slices of the
-        full-graph constants), xent over the batch's train anchors, and the
-        triplet loss pooled over the batch anchors' pair sets.  Validation
-        and ``keep_best`` stay full-graph per epoch, exactly as in the
-        full-batch loop.
+        Each epoch runs under fault injection and the recovery policy: a
+        ``"retry"`` repeats the epoch, a ``"degrade"`` ends the phase.
         """
-        cfg = self.config
-        graph, model = self.graph, self.model
-        optimizer = self._optimizer("predictive")
-        model.train()
-        self.monitors.set_context(phase="predictive", epoch=epoch)
-        batches = self._sampler.epoch_batches()
-        losses: List[float] = []
-        with self.recorder.span(f"epoch{epoch}"):
-            for index, anchors in enumerate(batches):
-                batch = self._phase2_batch(anchors)
-                optimizer.zero_grad()
-                with self.recorder.span(f"batch{index}"):
-                    result = phase2_batch_loss(
-                        model, cfg, graph, batch,
-                        features.data,
-                        edge_weight.data if edge_weight is not None else None,
-                    )
-                    if result.loss is None:
-                        # Nothing to optimise in this batch (no train anchors
-                        # and no pair sets): skip the step rather than feed
-                        # an empty loss to the optimizer.
-                        continue
-                    result.loss.backward()
-                optimizer.step()
-                losses.append(result.loss.item())
-                if self.monitors:
-                    self.monitors.observe_activations(
-                        "predictive", epoch,
-                        representation=result.representation.data,
-                        logits=result.logits.data,
-                    )
-                    if result.anchor is not None:
-                        self.monitors.observe_triplet(
-                            "predictive", epoch,
-                            np.linalg.norm(
-                                result.anchor.data - result.positive.data, axis=1
-                            ),
-                            np.linalg.norm(
-                                result.anchor.data - result.negative.data, axis=1
-                            ),
-                            cfg.margin,
-                        )
-        if self.monitors:
-            self.monitors.after_backward(
-                "predictive", epoch, self.model.encoder.named_parameters()
-            )
-        _BATCHES_TOTAL.inc(len(batches), phase="predictive")
-        epoch_loss = float(np.mean(losses)) if losses else 0.0
-        self.history.phase2_loss.append(epoch_loss)
-        if graph.val_mask is not None and graph.val_mask.any():
-            masked_val = self._evaluate_masked(graph.val_mask)
-            plain_val = self._evaluate_plain(graph.val_mask)
-            self.history.phase2_val_accuracy.append(max(masked_val, plain_val))
-            if cfg.keep_best and max(masked_val, plain_val) > self._best_val:
-                self._best_val = max(masked_val, plain_val)
-                self._best_state = model.state_dict()
-                self._best_readout = (
-                    "masked" if masked_val >= plain_val else "plain"
+        with self.recorder.phase(phase, self.stopwatch), self.monitors.watch(phase):
+            if self.recovery is not None:
+                self.recovery.ensure_baseline(self)
+            while self._completed[phase] < epochs:
+                epoch = self._completed[phase]
+                self.faults.check_crash(phase, epoch)
+                status = self._run_epoch_guarded(
+                    phase,
+                    epoch,
+                    lambda: self._run_epoch(phase, epoch, epochs, snapshot_set, callback),
                 )
-        if self.recorder.enabled:
-            self.recorder.epoch(
-                "predictive",
-                epoch,
-                epoch_loss,
-                val_accuracy=(
-                    self.history.phase2_val_accuracy[-1]
-                    if self.history.phase2_val_accuracy
-                    else None
-                ),
-                num_batches=len(batches),
-                batch_size=self._sampler.batch_size,
-            )
-        if callback is not None:
-            callback(epoch, epoch_loss)
-        return epoch_loss
+                if status == "degrade":
+                    break
+                if status == "ok":
+                    self._completed[phase] = epoch + 1
+                    self._after_epoch(phase)
 
-    def _predictive_epoch_parallel(
+    def _run_epoch(
         self,
+        phase: str,
         epoch: int,
-        features: Tensor,
-        edge_weight: Optional[Tensor],
+        epochs: int,
+        snapshot_set: set,
         callback: Optional[Callable[[int, float], None]],
     ) -> float:
-        """One phase-2 epoch sharded across the worker pool.
+        """One epoch of either phase in any mode; returns the epoch loss.
 
-        The frozen-mask constants (full-graph masked features and base-edge
-        weights) ship to workers once per constants version; per-shard pooled
-        pair tuples are computed supervisor-side because the pair sets live
-        with the trainer.
+        The mode shows in two places only: :meth:`_epoch_batches` picks the
+        anchor batches, and the step rule is either an optimizer step per
+        batch (in-process) or one step on the shard gradients the
+        supervisor reduces in fixed order (data-parallel).
         """
-        cfg = self.config
-        graph, model = self.graph, self.model
-        optimizer = self._optimizer("predictive")
-        supervisor = self._parallel
-        model.train()
-        self.monitors.set_context(phase="predictive", epoch=epoch)
-        batches = supervisor.epoch_shards()
-        empty = np.empty(0, dtype=np.int64)
-        if cfg.use_triplet and self.pairs is not None:
-            extras = [
+        if phase == "explainable" and self.config.resample_negatives and epoch > 0:
+            self._resample_negatives()
+        self.model.train()
+        self.monitors.set_context(phase=phase, epoch=epoch)
+        batches, fields = self._epoch_batches()
+        pooled, constants = self._phase_inputs(phase, batches)
+        step = self._step_per_batch if self._parallel is None else self._step_reduced
+        with self.recorder.span(f"epoch{epoch}"):
+            loss, records, step_fields = step(phase, epoch, batches, pooled, constants)
+        fields.update(step_fields)
+        self._finish_epoch(
+            phase, epoch, epochs, loss, records, len(batches), fields,
+            snapshot_set, callback,
+        )
+        return loss
+
+    def _epoch_batches(self) -> Tuple[List[np.ndarray], Dict]:
+        """This epoch's anchor batches and the epoch-record fields naming them.
+
+        The supervisor's shards, the sampler's batches, or one covering
+        batch: full-batch training *is* ``batch_size=N``.
+        """
+        if self._parallel is not None:
+            shards = self._parallel.epoch_shards()
+            return shards, {"num_shards": len(shards)}
+        if self._sampler is not None:
+            batches = self._sampler.epoch_batches()
+            return batches, {
+                "num_batches": len(batches),
+                "batch_size": self._sampler.batch_size,
+            }
+        return [np.arange(self.num_nodes, dtype=np.int64)], {}
+
+    def _phase_inputs(
+        self, phase: str, batches: List[np.ndarray]
+    ) -> Tuple[List[Optional[tuple]], Dict]:
+        """Per-batch pooled triplet pairs and the phase constants.
+
+        Phase 1's constants are the current negative pairs.  Phase 2's are
+        the full-graph masked inputs of Eq. 10, and each batch pools the
+        pair sets of its own anchors.
+        """
+        if phase == "explainable":
+            return [None] * len(batches), {"negative_pairs": self.negative_pairs}
+        features, edge_weight = self._phase2_inputs()
+        constants = {
+            "features_data": features.data,
+            "edge_weight_data": None if edge_weight is None else edge_weight.data,
+        }
+        if self.config.use_triplet and self.pairs is not None:
+            pooled = [
                 pooled_pair_indices(self.pairs, self.num_nodes, anchors=anchors)
                 for anchors in batches
             ]
         else:
-            extras = [(empty, empty, empty, empty, empty) for _ in batches]
-        with self.recorder.span(f"epoch{epoch}"):
-            outcome = supervisor.run_epoch(
-                "predictive",
-                epoch,
-                batches,
-                params=[p.data.copy() for p in phase_parameters(model, "predictive")],
-                constants={
-                    "features_data": features.data,
-                    "edge_weight_data": (
-                        edge_weight.data if edge_weight is not None else None
-                    ),
-                },
-                shard_extras=extras,
+            empty = np.empty(0, dtype=np.int64)
+            pooled = [(empty,) * 5] * len(batches)
+        return pooled, constants
+
+    def _step_per_batch(
+        self,
+        phase: str,
+        epoch: int,
+        batches: List[np.ndarray],
+        pooled: List[Optional[tuple]],
+        constants: Dict,
+    ) -> Tuple[float, List[Dict], Dict]:
+        """In-process step rule: one optimizer step per anchor batch."""
+        optimizer = self._optimizer(phase)
+        hops = self.model.encoder.num_layers
+        records: List[Dict] = []
+        for index, anchors in enumerate(batches):
+            batch = cached_batch(
+                self._batch_cache, phase, self.graph, anchors, hops,
+                self.khop_edges, self.negative_pairs, pooled[index],
             )
             optimizer.zero_grad()
-            if outcome.num_contributing:
-                for param, grad in zip(
-                    phase_parameters(model, "predictive"), outcome.grads
-                ):
-                    param.grad = grad
-                optimizer.step()
-        if self.monitors:
-            self.monitors.after_backward(
-                "predictive", epoch, self.model.encoder.named_parameters()
-            )
-        _BATCHES_TOTAL.inc(len(batches), phase="predictive")
-        epoch_loss = outcome.loss
-        self.history.phase2_loss.append(epoch_loss)
-        if graph.val_mask is not None and graph.val_mask.any():
-            masked_val = self._evaluate_masked(graph.val_mask)
-            plain_val = self._evaluate_plain(graph.val_mask)
-            self.history.phase2_val_accuracy.append(max(masked_val, plain_val))
-            if cfg.keep_best and max(masked_val, plain_val) > self._best_val:
-                self._best_val = max(masked_val, plain_val)
-                self._best_state = model.state_dict()
-                self._best_readout = (
-                    "masked" if masked_val >= plain_val else "plain"
+            with self.recorder.span(f"batch{index}"):
+                result, record = batch_backward(
+                    self.model, self.config, self.graph, phase, batch, constants
                 )
-        if self.recorder.enabled:
-            self.recorder.epoch(
-                "predictive",
-                epoch,
-                epoch_loss,
-                val_accuracy=(
-                    self.history.phase2_val_accuracy[-1]
-                    if self.history.phase2_val_accuracy
-                    else None
-                ),
-                num_shards=len(batches),
-                num_workers=supervisor.alive_workers,
+            if record["loss"] is None:
+                # Nothing to optimise in this batch (no train anchors and no
+                # pair sets): skip the step rather than feed an empty loss
+                # to the optimizer.
+                continue
+            optimizer.step()
+            records.append(record)
+            if self.monitors:
+                self._observe_batch(phase, epoch, result)
+        losses = [record["loss"] for record in records]
+        return (float(np.mean(losses)) if losses else 0.0), records, {}
+
+    def _step_reduced(
+        self,
+        phase: str,
+        epoch: int,
+        batches: List[np.ndarray],
+        pooled: List[Optional[tuple]],
+        constants: Dict,
+    ) -> Tuple[float, List[Dict], Dict]:
+        """Data-parallel step rule: one step per epoch on reduced gradients.
+
+        Workers compute the per-shard records and gradients under derived
+        dropout streams (docs/PARALLEL.md); the trajectory depends only on
+        the shard structure, never on the worker count or restarts.
+        """
+        supervisor = self._parallel
+        params = phase_parameters(self.model, phase)
+        outcome = supervisor.run_epoch(
+            phase,
+            epoch,
+            batches,
+            params=[param.data.copy() for param in params],
+            constants=constants,
+            shard_extras=pooled,
+        )
+        optimizer = self._optimizer(phase)
+        optimizer.zero_grad()
+        if outcome.num_contributing:
+            for param, grad in zip(params, outcome.grads):
+                param.grad = grad
+            optimizer.step()
+        return outcome.loss, outcome.records, {"num_workers": supervisor.alive_workers}
+
+    def _observe_batch(self, phase: str, epoch: int, result) -> None:
+        """Per-batch monitor events of the in-process step rule."""
+        monitors = self.monitors
+        if phase == "explainable":
+            monitors.observe_masks(
+                phase, epoch,
+                feature=result.feature_mask.data,
+                structure=result.structure_mask.data,
             )
+            monitors.observe_activations(
+                phase, epoch, hidden=result.hidden.data, logits=result.logits.data
+            )
+            return
+        monitors.observe_activations(
+            phase, epoch,
+            representation=result.representation.data,
+            logits=result.logits.data,
+        )
+        if result.anchor is not None:
+            monitors.observe_triplet(
+                phase, epoch,
+                np.linalg.norm(result.anchor.data - result.positive.data, axis=1),
+                np.linalg.norm(result.anchor.data - result.negative.data, axis=1),
+                self.config.margin,
+            )
+
+    def _finish_epoch(
+        self,
+        phase: str,
+        epoch: int,
+        epochs: int,
+        loss: float,
+        records: List[Dict],
+        num_batches: int,
+        fields: Dict,
+        snapshot_set: set,
+        callback: Optional[Callable[[int, float], None]],
+    ) -> None:
+        """The bookkeeping every epoch shares, whatever the mode.
+
+        Folds the batch records in batch order (phase-1 edge sensitivity and
+        mask sparsity), appends the history, validates (phase 2 also keeps
+        the best state), emits the epoch record and metrics, snapshots the
+        masks and calls ``callback``.
+        """
+        graph, history = self.graph, self.history
+        if self.monitors:
+            trained = self.model if phase == "explainable" else self.model.encoder
+            self.monitors.after_backward(phase, epoch, trained.named_parameters())
+        _BATCHES_TOTAL.inc(num_batches, phase=phase)
+        has_val = graph.val_mask is not None and graph.val_mask.any()
+        val_accuracy = None
+        if phase == "explainable":
+            if epoch >= epochs // 2:
+                for record in records:
+                    if record["probe_grad"] is not None:
+                        # Negative gradient: making this edge heavier lowers
+                        # the masked classification loss -> it is important.
+                        self._edge_sensitivity[record["khop_positions"]] += np.maximum(
+                            -record["probe_grad"], 0.0
+                        )
+            history.phase1_loss.append(loss)
+            if has_val:
+                val_accuracy = self._evaluate_plain(graph.val_mask)
+                history.phase1_val_accuracy.append(val_accuracy)
+            counts = {
+                key: sum(record[key] for record in records)
+                for key in ("feat_below", "feat_total", "struct_below", "struct_total")
+            }
+            fields = {
+                "feature_mask_sparsity": counts["feat_below"] / max(counts["feat_total"], 1),
+                "structure_mask_sparsity": (
+                    counts["struct_below"] / max(counts["struct_total"], 1)
+                ),
+                **fields,
+            }
+        else:
+            history.phase2_loss.append(loss)
+            if has_val:
+                masked_val = self._evaluate_masked(graph.val_mask)
+                plain_val = self._evaluate_plain(graph.val_mask)
+                val_accuracy = max(masked_val, plain_val)
+                history.phase2_val_accuracy.append(val_accuracy)
+                if self.config.keep_best and val_accuracy > self._best_val:
+                    self._best_val = val_accuracy
+                    self._best_state = self.model.state_dict()
+                    self._best_readout = "masked" if masked_val >= plain_val else "plain"
+        if self.recorder.enabled:
+            self.recorder.epoch(phase, epoch, loss, val_accuracy=val_accuracy, **fields)
+        if epoch in snapshot_set:
+            # Batches see only slices of the masks, so snapshots come from a
+            # full eval-mode scoring pass (no RNG draws: parity holds).
+            history.mask_snapshots[epoch] = self._score_masks_eval()
         if callback is not None:
-            callback(epoch, epoch_loss)
-        return epoch_loss
+            callback(epoch, loss)
 
     # ------------------------------------------------------------------
     # Fault tolerance: guarded epochs, snapshots, resume

@@ -4,6 +4,7 @@ from .graph import Graph
 from .khop import khop_adjacency, khop_edge_index, scatter_edge_values
 from .minibatch import (
     AnchorBatchSampler,
+    BatchCache,
     SubgraphBatch,
     bfs_closure,
     extract_phase1_batch,
@@ -32,6 +33,7 @@ __all__ = [
     "khop_edge_index",
     "scatter_edge_values",
     "AnchorBatchSampler",
+    "BatchCache",
     "SubgraphBatch",
     "bfs_closure",
     "extract_phase1_batch",

@@ -3,7 +3,7 @@
 The phase-1 objective scores a mask weight for *every* k-hop edge, so the
 full-batch loop materialises ``O(|A^(k)|)`` pair features per epoch — the
 memory wall between Cora-scale runs and larger graphs.  This module supplies
-the two ingredients of the minibatch path:
+the ingredients of the minibatch path:
 
 * :class:`AnchorBatchSampler` — partitions the node set into shuffled anchor
   batches from a **dedicated** RNG stream.  Keeping the sampler's draws out
@@ -17,6 +17,8 @@ the two ingredients of the minibatch path:
   ordering (and therefore every cached CSR segment layout and conv
   edge-constant) is preserved; with a single covering batch the extraction
   degenerates to the identity.
+* :class:`BatchCache` — the LRU of extracted batches that the trainer and
+  the data-parallel workers share.
 
 The locality argument mirrors GNNExplainer/SE-GNN: a node's explanation and
 its triplet pairs live inside its k-hop computation subgraph, so scoring
@@ -27,8 +29,9 @@ guaranteed (and tested) for ``batch_size >= num_nodes``.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -169,6 +172,41 @@ class SubgraphBatch:
         mask = np.zeros(self.num_local_nodes, dtype=bool)
         mask[self.anchor_local] = True
         return mask
+
+
+class BatchCache:
+    """Least-recently-used memo of extracted batch subgraphs.
+
+    Keys are ``(phase, anchor bytes)``.  Eviction drops one entry at a
+    time, like ``tensor.csr.cached_layout``: a wholesale clear on overflow
+    would throw away a minibatch epoch's whole working set.  Owners clear it
+    whenever the inputs baked into cached batches change (negative
+    resampling, snapshot restore, a constants re-ship).
+    """
+
+    LIMIT = 32
+
+    def __init__(self) -> None:
+        self._entries: "OrderedDict[Tuple, SubgraphBatch]" = OrderedDict()
+
+    def get(
+        self, phase: str, anchors: np.ndarray, extract: Callable[[], SubgraphBatch]
+    ) -> SubgraphBatch:
+        key = (phase, anchors.tobytes())
+        batch = self._entries.get(key)
+        if batch is not None:
+            self._entries.move_to_end(key)
+            return batch
+        while len(self._entries) >= self.LIMIT:
+            self._entries.popitem(last=False)
+        batch = self._entries[key] = extract()
+        return batch
+
+    def clear(self) -> None:
+        self._entries.clear()
+
+    def __len__(self) -> int:
+        return len(self._entries)
 
 
 def bfs_closure(adjacency: sp.csr_matrix, seeds: np.ndarray, hops: int) -> np.ndarray:

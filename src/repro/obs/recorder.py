@@ -254,7 +254,7 @@ class RunRecorder(NullRecorder):
         ``phase_end`` event are the same ones accumulated into the
         stopwatch that the Tables 6–8 harnesses report.  A phase is also
         the root of the span hierarchy: :meth:`span` calls inside the block
-        emit paths like ``explainable/epoch3/backward``.
+        emit paths like ``explainable/epoch3/batch0``.
         """
         self.emit("phase_start", phase=label)
         self._span_stack.append(label)
@@ -274,8 +274,8 @@ class RunRecorder(NullRecorder):
 
         Spans nest: entered inside a :meth:`phase` or another span, the
         emitted ``path`` joins every enclosing label with ``/`` —
-        ``recorder.span("backward")`` inside epoch 3 of phase 2 records
-        ``path="predictive/epoch3/backward"``.  ``obs-report`` aggregates
+        ``recorder.span("batch0")`` inside epoch 3 of phase 2 records
+        ``path="predictive/epoch3/batch0"``.  ``obs-report`` aggregates
         spans into a tree (numeric suffixes folded, so all epochs of one
         phase collapse into a single ``epoch*`` row).
         """

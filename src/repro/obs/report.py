@@ -58,7 +58,7 @@ _DIGITS = re.compile(r"\d+")
 def normalize_span_path(path: str) -> str:
     """Fold numeric indices out of a span path for aggregation.
 
-    ``explainable/epoch3/backward`` → ``explainable/epoch*/backward``, so
+    ``explainable/epoch3/batch0`` → ``explainable/epoch*/batch*``, so
     every epoch of a phase lands in one row of the span tree.
     """
     return "/".join(_DIGITS.sub("*", part) for part in path.split("/"))

@@ -259,7 +259,7 @@ def flamegraph_lines(events: Sequence[Dict[str, Any]]) -> List[str]:
     """Collapsed-stack flamegraph lines with *self*-time in microseconds.
 
     Span paths are aggregated with numeric indices folded
-    (``explainable/epoch3/forward`` → ``explainable;epoch*;forward``), and
+    (``explainable/epoch3/batch0`` → ``explainable;epoch*;batch*``), and
     each frame's value is its total time minus its aggregated children's —
     the format ``flamegraph.pl`` and speedscope ingest directly.  Phases
     without recorded spans (v1 records) fall back to phase-level frames.

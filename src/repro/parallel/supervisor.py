@@ -36,7 +36,7 @@ import multiprocessing
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -131,11 +131,8 @@ class EpochOutcome:
     num_contributing: int
     num_shards: int
     reduce_seconds: float
-    probes: List[Tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
-    feat_below: int = 0
-    feat_total: int = 0
-    struct_below: int = 0
-    struct_total: int = 0
+    records: List[Dict] = field(default_factory=list)
+    """Per-shard records in shard order (see ``repro.core.ses.batch_backward``)."""
 
 
 class _WorkerHandle:
@@ -254,7 +251,7 @@ class WorkerSupervisor:
         else:
             payloads = self._run_epoch_pool(phase, epoch, tasks, params, constants)
         _SHARDS_TOTAL.inc(len(tasks), phase=phase)
-        return self._reduce(phase, payloads)
+        return self._reduce(payloads)
 
     def _run_epoch_inline(
         self, phase: str, epoch: int, tasks, params, constants
@@ -505,7 +502,7 @@ class WorkerSupervisor:
     # ------------------------------------------------------------------
     # Reduction
     # ------------------------------------------------------------------
-    def _reduce(self, phase: str, payloads: List[Dict]) -> EpochOutcome:
+    def _reduce(self, payloads: List[Dict]) -> EpochOutcome:
         """Fixed-order tree reduction of per-shard losses and gradients."""
         start = time.perf_counter()
         contributing = [p for p in payloads if p["loss"] is not None]
@@ -523,17 +520,8 @@ class WorkerSupervisor:
             num_contributing=len(contributing),
             num_shards=len(payloads),
             reduce_seconds=time.perf_counter() - start,
+            records=payloads,
         )
-        if phase == "explainable":
-            for payload in payloads:  # shard order == accumulation order
-                if payload.get("probe_grad") is not None:
-                    outcome.probes.append(
-                        (payload["khop_positions"], payload["probe_grad"])
-                    )
-                outcome.feat_below += payload.get("feat_below", 0)
-                outcome.feat_total += payload.get("feat_total", 0)
-                outcome.struct_below += payload.get("struct_below", 0)
-                outcome.struct_total += payload.get("struct_total", 0)
         _REDUCE_SECONDS.observe(outcome.reduce_seconds)
         return outcome
 

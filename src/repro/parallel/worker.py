@@ -35,17 +35,12 @@ import os
 import queue as queue_module
 import time
 import traceback
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..core.ses import (
-    SESModel,
-    phase1_batch_loss,
-    phase2_batch_loss,
-    phase_parameters,
-)
-from ..graph.minibatch import extract_phase1_batch, extract_phase2_batch
+from ..core.ses import SESModel, batch_backward, cached_batch, phase_parameters
+from ..graph.minibatch import BatchCache
 from ..resilience.faults import WORKER_KINDS, FaultSpec
 from ..utils import make_rng
 
@@ -93,9 +88,8 @@ class ShardContext:
         )
         self.model.train()
         self._version = -1
-        self._features_data: Optional[np.ndarray] = None
-        self._edge_weight_data: Optional[np.ndarray] = None
-        self._cache: Dict[Tuple, object] = {}
+        self._constants: Dict = {}
+        self._cache = BatchCache()
 
     # ------------------------------------------------------------------
     def begin_epoch(
@@ -115,44 +109,13 @@ class ShardContext:
                 )
             if phase == "explainable":
                 self.negative_pairs = constants["negative_pairs"]
-            else:
-                self._features_data = constants["features_data"]
-                self._edge_weight_data = constants["edge_weight_data"]
+            self._constants = constants
             self._version = version
             # Cached subgraphs embed the old constants (negative pairs /
             # pooled tuples from a previous pair build).
             self._cache.clear()
         for param, data in zip(phase_parameters(self.model, phase), params):
             param.data = np.array(data, copy=True)
-
-    # ------------------------------------------------------------------
-    def _phase1_batch(self, anchors: np.ndarray):
-        key = ("phase1", anchors.tobytes())
-        batch = self._cache.get(key)
-        if batch is None:
-            if len(self._cache) >= 32:
-                self._cache.clear()
-            batch = extract_phase1_batch(
-                self.graph,
-                anchors,
-                self.khop_edges,
-                self.negative_pairs,
-                hops=self.model.encoder.num_layers,
-            )
-            self._cache[key] = batch
-        return batch
-
-    def _phase2_batch(self, anchors: np.ndarray, pooled: tuple):
-        key = ("phase2", anchors.tobytes())
-        batch = self._cache.get(key)
-        if batch is None:
-            if len(self._cache) >= 32:
-                self._cache.clear()
-            batch = extract_phase2_batch(
-                self.graph, anchors, pooled, hops=self.model.encoder.num_layers
-            )
-            self._cache[key] = batch
-        return batch
 
     # ------------------------------------------------------------------
     def compute(
@@ -168,44 +131,17 @@ class ShardContext:
         model.train()
         model.encoder._rng = shard_dropout_rng(self.seed, phase, epoch, shard_id)
         model.zero_grad()
-        if phase == "explainable":
-            batch = self._phase1_batch(anchors)
-            result = phase1_batch_loss(model, self.config, self.graph, batch)
-            result.loss.backward()
-            payload = {
-                "loss": result.loss.item(),
-                "grads": self._grads(phase),
-                "khop_positions": batch.khop_positions,
-                "probe_grad": (
-                    result.probe.grad.copy()
-                    if result.probe is not None and result.probe.grad is not None
-                    else None
-                ),
-                "feat_below": int((result.feature_mask.data < 0.5).sum()),
-                "feat_total": int(result.feature_mask.data.size),
-                "struct_below": int((result.structure_mask.data < 0.5).sum()),
-                "struct_total": int(max(result.structure_mask.data.size, 1)),
-            }
-        elif phase == "predictive":
-            batch = self._phase2_batch(anchors, pooled)
-            result = phase2_batch_loss(
-                model,
-                self.config,
-                self.graph,
-                batch,
-                self._features_data,
-                self._edge_weight_data,
-            )
-            if result.loss is None:
-                # Nothing to optimise on this shard (no train anchors, no
-                # pairs): contributes neither gradient nor loss mass.
-                payload = {"loss": None, "grads": None}
-            else:
-                result.loss.backward()
-                payload = {"loss": result.loss.item(), "grads": self._grads(phase)}
-        else:
-            raise ValueError(f"unknown training phase {phase!r}")
-        return payload
+        batch = cached_batch(
+            self._cache, phase, self.graph, anchors, model.encoder.num_layers,
+            self.khop_edges, self.negative_pairs, pooled,
+        )
+        _, record = batch_backward(
+            model, self.config, self.graph, phase, batch, self._constants
+        )
+        # A shard with nothing to optimise (no train anchors, no pairs)
+        # contributes neither gradient nor loss mass.
+        record["grads"] = None if record["loss"] is None else self._grads(phase)
+        return record
 
     def _grads(self, phase: str) -> List[np.ndarray]:
         return [

@@ -2,12 +2,12 @@
 
 The headline guarantee of the neighbor-sampled path: ``fit(batch_size=N)``
 with a covering batch reproduces the full-batch trajectory *bit-for-bit* —
-checked in-session against an uninterrupted full-batch run and tolerantly
-against the committed baseline run record.  Small-batch mode is covered by
+checked in-session against an uninterrupted full-batch run and, under the determinism
+contract of ``tests/determinism.py``, against the committed baseline run
+record.  Small-batch mode is covered by
 smoke tests, crash/resume equivalence, and a degenerate-graph sweep.
 """
 
-import json
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +17,7 @@ from repro.core import SESTrainer, fast_config
 from repro.datasets import load_dataset
 from repro.graph import Graph, classification_split
 from repro.resilience import CheckpointError, FaultPlan, SimulatedCrash
+from tests.determinism import assert_within_record, load_run_record
 
 REPO = Path(__file__).resolve().parent.parent.parent
 BASELINE_RECORD = REPO / "results" / "runs" / "resilience_baseline_cora_small.jsonl"
@@ -48,6 +49,11 @@ def _assert_bit_identical(result, reference):
     np.testing.assert_array_equal(
         result.explanations.feature_mask, reference.explanations.feature_mask
     )
+    np.testing.assert_array_equal(
+        result.explanations.subgraph_explanation.toarray(),
+        reference.explanations.subgraph_explanation.toarray(),
+    )
+    np.testing.assert_array_equal(result.hidden, reference.hidden)
     assert result.test_accuracy == reference.test_accuracy
     assert result.val_accuracy == reference.val_accuracy
 
@@ -76,29 +82,35 @@ class TestCoveringBatchParity:
 
     def test_covering_batch_matches_committed_record(self):
         """``fit(batch_size=num_nodes)`` reproduces the committed *full-batch*
-        baseline run record (tolerant: the record pins one BLAS build)."""
+        baseline run record (within the cross-environment tolerance)."""
         graph = _graph()
         result = SESTrainer(graph, _config()).fit(batch_size=graph.num_nodes)
-        events = [
-            json.loads(line)
-            for line in BASELINE_RECORD.read_text().strip().split("\n")
-        ]
-        recorded = {"explainable": [], "predictive": []}
-        for event in events:
-            if event["event"] == "epoch":
-                recorded[event["phase"]].append(event["loss"])
-        assert len(recorded["explainable"]) == EXPLAINABLE_EPOCHS
-        assert len(recorded["predictive"]) == PREDICTIVE_EPOCHS
-        np.testing.assert_allclose(
-            result.history.phase1_loss, recorded["explainable"], rtol=1e-6
+        record = load_run_record(BASELINE_RECORD)
+        assert len(record["phase1_loss"]) == EXPLAINABLE_EPOCHS
+        assert len(record["phase2_loss"]) == PREDICTIVE_EPOCHS
+        assert_within_record(
+            record,
+            losses={
+                "phase1_loss": result.history.phase1_loss,
+                "phase2_loss": result.history.phase2_loss,
+            },
+            accuracies={
+                "test_accuracy": result.test_accuracy,
+                "val_accuracy": result.val_accuracy,
+            },
         )
-        np.testing.assert_allclose(
-            result.history.phase2_loss, recorded["predictive"], rtol=1e-6
+
+    def test_mask_snapshots_match_full_batch(self):
+        graph = _graph()
+        full = SESTrainer(graph, _config()).fit(snapshot_epochs=(0, 7))
+        covering = SESTrainer(_graph(), _config()).fit(
+            snapshot_epochs=(0, 7), batch_size=graph.num_nodes
         )
-        run_end = [e for e in events if e["event"] == "run_end"][0]
-        assert result.test_accuracy == pytest.approx(
-            run_end["test_accuracy"], abs=1e-9
-        )
+        assert set(full.history.mask_snapshots) == {0, 7}
+        for epoch, (feature, structure) in full.history.mask_snapshots.items():
+            other_feature, other_structure = covering.history.mask_snapshots[epoch]
+            np.testing.assert_array_equal(feature, other_feature)
+            np.testing.assert_array_equal(structure, other_structure)
 
 
 class TestSmallBatchTraining:

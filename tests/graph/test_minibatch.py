@@ -5,6 +5,7 @@ import pytest
 
 from repro.graph import (
     AnchorBatchSampler,
+    BatchCache,
     Graph,
     bfs_closure,
     extract_phase1_batch,
@@ -213,3 +214,47 @@ class TestPhase2Extraction:
         )
         np.testing.assert_array_equal(batch.nodes, np.arange(6))
         np.testing.assert_array_equal(batch.edge_index, graph.edge_index())
+
+
+class TestBatchCache:
+    def _extractor(self, calls, value):
+        def extract():
+            calls.append(value)
+            return value
+
+        return extract
+
+    def test_hit_skips_extraction(self):
+        cache, calls = BatchCache(), []
+        anchors = np.array([0, 1], dtype=np.int64)
+        assert cache.get("explainable", anchors, self._extractor(calls, "a")) == "a"
+        assert cache.get("explainable", anchors.copy(), self._extractor(calls, "b")) == "a"
+        assert calls == ["a"]
+
+    def test_phase_is_part_of_the_key(self):
+        cache, calls = BatchCache(), []
+        anchors = np.array([0, 1], dtype=np.int64)
+        cache.get("explainable", anchors, self._extractor(calls, "p1"))
+        assert cache.get("predictive", anchors, self._extractor(calls, "p2")) == "p2"
+        assert len(cache) == 2
+
+    def test_evicts_least_recently_used_one_at_a_time(self):
+        cache, calls = BatchCache(), []
+        keys = [np.array([i], dtype=np.int64) for i in range(BatchCache.LIMIT + 1)]
+        for index, anchors in enumerate(keys[:-1]):
+            cache.get("explainable", anchors, self._extractor(calls, index))
+        cache.get("explainable", keys[0], self._extractor(calls, "again"))  # 0 is fresh
+        cache.get("explainable", keys[-1], self._extractor(calls, "new"))  # evicts 1 only
+        assert len(cache) == BatchCache.LIMIT
+        assert cache.get("explainable", keys[0], self._extractor(calls, "x")) == 0
+        assert cache.get("explainable", keys[2], self._extractor(calls, "x")) == 2
+        assert cache.get("explainable", keys[1], self._extractor(calls, "refetch")) == "refetch"
+        assert "again" not in calls and calls[-1] == "refetch"
+
+    def test_clear(self):
+        cache, calls = BatchCache(), []
+        anchors = np.array([3], dtype=np.int64)
+        cache.get("explainable", anchors, self._extractor(calls, "a"))
+        cache.clear()
+        assert len(cache) == 0
+        assert cache.get("explainable", anchors, self._extractor(calls, "b")) == "b"

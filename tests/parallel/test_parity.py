@@ -5,7 +5,8 @@ The headline guarantee: ``fit(workers=N)`` is bit-identical to
 reduction are worker-independent.  Checked in-session across worker counts
 and against the committed baseline run record, and the same holds with a
 worker killed at every phase boundary (recovery restarts are invisible in
-the numbers).
+the numbers).  The committed record is checked under the determinism
+contract of ``tests/determinism.py``.
 """
 
 import hashlib
@@ -19,6 +20,11 @@ from repro.core import SESTrainer, fast_config
 from repro.datasets import load_dataset
 from repro.graph import classification_split
 from repro.resilience import FaultPlan
+from tests.determinism import (
+    assert_record_digests,
+    assert_within_record,
+    sha256_arrays,
+)
 
 REPO = Path(__file__).resolve().parent.parent.parent
 BASELINE_RECORD = REPO / "results" / "runs" / "parallel_baseline_cora_small.json"
@@ -42,14 +48,6 @@ def _config():
     )
 
 
-def _digest(state):
-    h = hashlib.sha256()
-    for name in sorted(state):
-        h.update(name.encode())
-        h.update(np.ascontiguousarray(state[name]).tobytes())
-    return h.hexdigest()
-
-
 def _assert_bit_identical(result, reference):
     assert result.history.phase1_loss == reference.history.phase1_loss
     assert result.history.phase1_val_accuracy == reference.history.phase1_val_accuracy
@@ -59,6 +57,11 @@ def _assert_bit_identical(result, reference):
     np.testing.assert_array_equal(
         result.explanations.feature_mask, reference.explanations.feature_mask
     )
+    np.testing.assert_array_equal(
+        result.explanations.subgraph_explanation.toarray(),
+        reference.explanations.subgraph_explanation.toarray(),
+    )
+    np.testing.assert_array_equal(result.hidden, reference.hidden)
     assert result.test_accuracy == reference.test_accuracy
     assert result.val_accuracy == reference.val_accuracy
 
@@ -72,19 +75,40 @@ def single_worker():
 
 
 class TestCommittedBaseline:
+    """The committed record under the determinism contract (tests/determinism.py)."""
+
     def test_single_worker_matches_committed_record(self, single_worker):
         trainer, result = single_worker
         record = json.loads(BASELINE_RECORD.read_text())
         assert record["workers"] == 1
         assert trainer._parallel.num_shards == record["shards"]
-        assert trainer.history.phase1_loss == record["phase1_loss"]
-        assert trainer.history.phase2_loss == record["phase2_loss"]
-        assert result.test_accuracy == record["test_accuracy"]
-        assert _digest(trainer.model.state_dict()) == record["model_sha256"]
-        logits_digest = hashlib.sha256(
-            np.ascontiguousarray(result.logits).tobytes()
-        ).hexdigest()
-        assert logits_digest == record["logits_sha256"]
+        history = trainer.history
+        assert_within_record(
+            record,
+            losses={
+                "phase1_loss": history.phase1_loss,
+                "phase2_loss": history.phase2_loss,
+            },
+            accuracies={
+                "phase1_val_accuracy": history.phase1_val_accuracy,
+                "phase2_val_accuracy": history.phase2_val_accuracy,
+                "test_accuracy": result.test_accuracy,
+                "val_accuracy": result.val_accuracy,
+            },
+        )
+
+    def test_digests_match_in_recording_environment(self, single_worker):
+        trainer, result = single_worker
+        record = json.loads(BASELINE_RECORD.read_text())
+        assert_record_digests(
+            record,
+            {
+                "model_sha256": sha256_arrays(trainer.model.state_dict()),
+                "logits_sha256": hashlib.sha256(
+                    np.ascontiguousarray(result.logits).tobytes()
+                ).hexdigest(),
+            },
+        )
 
 
 class TestWorkerCountParity:
