@@ -68,9 +68,7 @@ def build_server(tmpdir):
     trainer.fit(checkpoint_every=EPOCHS[1], checkpoint_dir=tmpdir)
 
     registry = MetricsRegistry(enabled=True)
-    state = load_serving_state(
-        tmpdir, dataset=DATASET, cache_size=graph.num_nodes, registry=registry
-    )
+    state = load_serving_state(tmpdir, cache_size=graph.num_nodes, registry=registry)
     holder = StateHolder(state, registry=registry)
     server = create_server(holder, port=0, registry=registry)
     thread = server.serve_in_thread()

@@ -291,7 +291,7 @@ def main() -> int:
         with tempfile.TemporaryDirectory() as tmp:
             SESTrainer(graph, config).fit(checkpoint_every=2, checkpoint_dir=tmp)
             registry = MetricsRegistry(enabled=True)
-            state = load_serving_state(tmp, dataset="cora", registry=registry)
+            state = load_serving_state(tmp, registry=registry)
             server = create_server(StateHolder(state, registry=registry),
                                    registry=registry)
             thread = server.serve_in_thread()

@@ -135,6 +135,108 @@ class SESModel(Module):
         return self.mask_generator.parameters()
 
 
+# ----------------------------------------------------------------------
+# Inference: functions over the arrays a trained model leaves behind.
+# SESTrainer and repro.serve both answer through them, so a served
+# snapshot reproduces the trainer's outputs bit for bit.
+# ----------------------------------------------------------------------
+def align_base_edges(khop_edges: np.ndarray, edge_index: np.ndarray, num_nodes: int) -> np.ndarray:
+    """Position of every edge of ``A`` inside the (sorted) k-hop edge list.
+
+    ``A ⊆ A^(k)`` for ``k >= 1``, so phase 2 can reuse the structure-mask
+    values learned on ``A^(k)`` for the edges of ``A`` (Eq. 10).
+    """
+    khop_keys = khop_edges[0] * num_nodes + khop_edges[1]
+    base_keys = edge_index[0] * num_nodes + edge_index[1]
+    positions = np.searchsorted(khop_keys, base_keys)
+    if not np.array_equal(khop_keys[positions], base_keys):
+        raise AssertionError("base adjacency is not contained in A^(k)")
+    return positions
+
+
+def phase2_inputs(
+    config: SESConfig, features: np.ndarray, feature_mask: Optional[np.ndarray],
+    structure_values: Optional[np.ndarray], base_edge_positions: np.ndarray,
+) -> Tuple[Tensor, Optional[Tensor]]:
+    """Masked features and base-edge weights for Eq. 10 (as constants)."""
+    if config.use_feature_mask and feature_mask is not None:
+        features = features * feature_mask
+    edge_weight = None
+    if config.use_structure_mask and structure_values is not None:
+        values = structure_values[base_edge_positions]
+        # Soft application: a floor keeps imperfect mask weights from
+        # severing genuinely informative edges outright; the mask then
+        # re-ranks neighbours rather than deleting them (DESIGN.md §5).
+        values = config.mask_floor + (1.0 - config.mask_floor) * values
+        edge_weight = as_tensor(values)
+    return Tensor(features), edge_weight
+
+
+def eval_forward(
+    model: SESModel, features: Tensor, edge_index: np.ndarray,
+    edge_weight: Optional[Tensor] = None,
+) -> Tuple[np.ndarray, ...]:
+    """Eval-mode, gradient-free encoder pass: ``(H, R, Z)`` as arrays."""
+    model.eval()
+    with no_grad():
+        outputs = model.encoder.forward_full(
+            features, edge_index, features.shape[0], edge_weight=edge_weight
+        )
+    return tuple(output.data for output in outputs)
+
+
+def select_readout(config: SESConfig, best_readout: str) -> str:
+    """Which forward pass produces final predictions (see config.readout)."""
+    return best_readout if config.readout == "auto" else config.readout
+
+
+def readout_logits(
+    model: SESModel, config: SESConfig, readout: str, features: np.ndarray,
+    edge_index: np.ndarray, feature_mask: Optional[np.ndarray],
+    structure_values: Optional[np.ndarray], base_edge_positions: np.ndarray,
+) -> np.ndarray:
+    """Logits of ``readout``: the plain encoder on ``features``, or the
+    masked forward of Eq. 10."""
+    if readout == "plain":
+        return eval_forward(model, Tensor(features), edge_index)[2]
+    masked, edge_weight = phase2_inputs(
+        config, features, feature_mask, structure_values, base_edge_positions
+    )
+    return eval_forward(model, masked, edge_index, edge_weight)[2]
+
+
+def explanation_edge_values(
+    mode: str, mask_values: np.ndarray, sensitivity: np.ndarray
+) -> np.ndarray:
+    """Edge importances per config.structure_explanation (see config)."""
+    if mode == "mask" or sensitivity.max() <= 0:
+        return mask_values
+    ranks = np.argsort(np.argsort(sensitivity)).astype(np.float64)
+    normalized = ranks / max(1, len(ranks) - 1)
+    if mode == "sensitivity":
+        return normalized
+    return 0.5 * (normalized + mask_values)
+
+
+def assemble_explanations(
+    config: SESConfig, features: np.ndarray, khop_edges: np.ndarray,
+    feature_mask: np.ndarray, structure_values: np.ndarray, sensitivity: np.ndarray,
+) -> Explanations:
+    """``E_feat`` and ``E_sub`` from the frozen masks plus the accumulated
+    edge sensitivity (§4.2; DESIGN.md §5)."""
+    edge_values = explanation_edge_values(
+        config.structure_explanation, structure_values, sensitivity
+    )
+    structure = scatter_edge_values(khop_edges, edge_values, features.shape[0])
+    return Explanations(
+        feature_mask=feature_mask,
+        feature_explanation=feature_mask * features,
+        structure_mask=structure,
+        subgraph_explanation=structure,
+        khop_edge_index=khop_edges,
+    )
+
+
 @dataclass
 class TrainingHistory:
     """Per-epoch records of both phases (drives Fig. 7)."""
@@ -476,7 +578,6 @@ class SESTrainer:
         self.model = SESModel(
             graph.num_features, graph.num_classes, self.config, rng=self.rng
         )
-        self.features = Tensor(graph.features)
         self.edge_index = graph.edge_index()
         self.num_nodes = graph.num_nodes
         with self.recorder.phase("setup"):
@@ -488,7 +589,9 @@ class SESTrainer:
                 max_per_node=self.config.max_negatives_per_node,
             )
             self.negative_pairs = negative_edge_index(self._negative_sets)
-            self._base_edge_positions = self._align_base_edges()
+            self._base_edge_positions = align_base_edges(
+                self.khop_edges, self.edge_index, self.num_nodes
+            )
         self.stopwatch = Stopwatch()
         self.pairs: Optional[PairSets] = None
         self._frozen_feature_mask: Optional[np.ndarray] = None
@@ -556,22 +659,9 @@ class SESTrainer:
                 keep[position] = True
                 counts[destination] += 1
         kept = khop[:, keep]
-        # Keep the column ordering sorted so _align_base_edges can bisect.
+        # Keep the column ordering sorted so align_base_edges can bisect.
         sort = np.argsort(kept[0] * self.num_nodes + kept[1], kind="mergesort")
         return kept[:, sort]
-
-    def _align_base_edges(self) -> np.ndarray:
-        """Position of every edge of ``A`` inside the k-hop edge list.
-
-        ``A ⊆ A^(k)`` for ``k >= 1``, so phase 2 can reuse the structure-mask
-        values learned on ``A^(k)`` for the edges of ``A`` (Eq. 10).
-        """
-        khop_keys = self.khop_edges[0] * self.num_nodes + self.khop_edges[1]
-        base_keys = self.edge_index[0] * self.num_nodes + self.edge_index[1]
-        positions = np.searchsorted(khop_keys, base_keys)
-        if not np.array_equal(khop_keys[positions], base_keys):
-            raise AssertionError("base adjacency is not contained in A^(k)")
-        return positions
 
     def _resample_negatives(self) -> None:
         self._negative_sets = sample_negative_sets(
@@ -773,7 +863,7 @@ class SESTrainer:
         model.eval()
         with no_grad():
             hidden, representation, _ = model.encoder.forward_full(
-                self.features, self.edge_index, self.num_nodes
+                Tensor(self.graph.features), self.edge_index, self.num_nodes
             )
             scorer_input = (
                 representation
@@ -838,23 +928,6 @@ class SESTrainer:
     # ------------------------------------------------------------------
     # Phase 2: enhanced predictive learning
     # ------------------------------------------------------------------
-    def _phase2_inputs(self) -> Tuple[Tensor, Optional[Tensor]]:
-        """Masked features and base-edge weights for Eq. 10 (as constants)."""
-        cfg = self.config
-        if cfg.use_feature_mask and self._frozen_feature_mask is not None:
-            features = Tensor(self.graph.features * self._frozen_feature_mask)
-        else:
-            features = self.features
-        edge_weight = None
-        if cfg.use_structure_mask and self._frozen_structure_values is not None:
-            values = self._frozen_structure_values[self._base_edge_positions]
-            # Soft application: a floor keeps imperfect mask weights from
-            # severing genuinely informative edges outright; the mask then
-            # re-ranks neighbours rather than deleting them (DESIGN.md §5).
-            values = cfg.mask_floor + (1.0 - cfg.mask_floor) * values
-            edge_weight = as_tensor(values)
-        return features, edge_weight
-
     def train_predictive(
         self,
         epochs: Optional[int] = None,
@@ -965,7 +1038,10 @@ class SESTrainer:
         """
         if phase == "explainable":
             return [None] * len(batches), {"negative_pairs": self.negative_pairs}
-        features, edge_weight = self._phase2_inputs()
+        features, edge_weight = phase2_inputs(
+            self.config, self.graph.features, self._frozen_feature_mask,
+            self._frozen_structure_values, self._base_edge_positions,
+        )
         constants = {
             "features_data": features.data,
             "edge_weight_data": None if edge_weight is None else edge_weight.data,
@@ -1277,47 +1353,30 @@ class SESTrainer:
     # ------------------------------------------------------------------
     # Evaluation & outputs
     # ------------------------------------------------------------------
+    def _readout_logits(self, readout: str, features: Optional[np.ndarray] = None) -> np.ndarray:
+        if features is None:
+            features = self.graph.features
+        return readout_logits(
+            self.model, self.config, readout, np.asarray(features, dtype=np.float64),
+            self.edge_index, self._frozen_feature_mask, self._frozen_structure_values,
+            self._base_edge_positions,
+        )
+
     def _evaluate_plain(self, mask: np.ndarray) -> float:
-        logits = self._plain_logits()
+        logits = self._readout_logits("plain")
         return accuracy(logits_to_predictions(logits), self.graph.labels, mask=mask)
 
     def _evaluate_masked(self, mask: np.ndarray) -> float:
-        logits = self._masked_logits()
+        logits = self._readout_logits("masked")
         return accuracy(logits_to_predictions(logits), self.graph.labels, mask=mask)
-
-    def _plain_logits(self, features: Optional[np.ndarray] = None) -> np.ndarray:
-        self.model.eval()
-        inputs = self.features if features is None else Tensor(np.asarray(features, dtype=np.float64))
-        with no_grad():
-            logits = self.model.encoder(inputs, self.edge_index, self.num_nodes)
-        return logits.data
-
-    def _masked_logits(self, features: Optional[np.ndarray] = None) -> np.ndarray:
-        """Phase-2 forward (Eq. 10) with optional feature override."""
-        self.model.eval()
-        masked_features, edge_weight = self._phase2_inputs()
-        if features is not None:
-            base = np.asarray(features, dtype=np.float64)
-            if self.config.use_feature_mask and self._frozen_feature_mask is not None:
-                base = base * self._frozen_feature_mask
-            masked_features = Tensor(base)
-        with no_grad():
-            logits = self.model.encoder(
-                masked_features, self.edge_index, self.num_nodes, edge_weight=edge_weight
-            )
-        return logits.data
 
     def active_readout(self) -> str:
         """Which forward pass produces final predictions (see config.readout)."""
-        if self.config.readout != "auto":
-            return self.config.readout
-        return self._best_readout
+        return select_readout(self.config, self._best_readout)
 
     def final_logits(self, features: Optional[np.ndarray] = None) -> np.ndarray:
         """Logits of the selected readout, optionally from perturbed features."""
-        if self.active_readout() == "plain":
-            return self._plain_logits(features)
-        return self._masked_logits(features)
+        return self._readout_logits(self.active_readout(), features)
 
     def predict(self, features: Optional[np.ndarray] = None) -> np.ndarray:
         """Predicted class per node; supports perturbed features for the
@@ -1326,41 +1385,21 @@ class SESTrainer:
 
     def hidden_embeddings(self) -> np.ndarray:
         """128-d output representations used for visualisation (Fig. 5)."""
-        self.model.eval()
-        masked_features, edge_weight = self._phase2_inputs()
-        with no_grad():
-            _, representation, _ = self.model.encoder.forward_full(
-                masked_features, self.edge_index, self.num_nodes, edge_weight=edge_weight
-            )
-        return representation.data
-
-    def _explanation_edge_values(self) -> np.ndarray:
-        """Edge importances per config.structure_explanation (see config)."""
-        mode = self.config.structure_explanation
-        mask_values = self._frozen_structure_values
-        sensitivity = self._edge_sensitivity
-        if mode == "mask" or sensitivity.max() <= 0:
-            return mask_values
-        ranks = np.argsort(np.argsort(sensitivity)).astype(np.float64)
-        normalized = ranks / max(1, len(ranks) - 1)
-        if mode == "sensitivity":
-            return normalized
-        return 0.5 * (normalized + mask_values)
+        masked_features, edge_weight = phase2_inputs(
+            self.config, self.graph.features, self._frozen_feature_mask,
+            self._frozen_structure_values, self._base_edge_positions,
+        )
+        return eval_forward(self.model, masked_features, self.edge_index, edge_weight)[1]
 
     def explanations(self) -> Explanations:
         """Assemble ``E_feat`` and ``E_sub`` from the frozen masks plus the
         accumulated edge sensitivity (§4.2; DESIGN.md §5)."""
         if self._frozen_feature_mask is None or self._frozen_structure_values is None:
             raise RuntimeError("train_explainable() must run before explanations()")
-        structure = scatter_edge_values(
-            self.khop_edges, self._explanation_edge_values(), self.num_nodes
-        )
-        return Explanations(
-            feature_mask=self._frozen_feature_mask,
-            feature_explanation=self._frozen_feature_mask * self.graph.features,
-            structure_mask=structure,
-            subgraph_explanation=structure,
-            khop_edge_index=self.khop_edges,
+        return assemble_explanations(
+            self.config, self.graph.features, self.khop_edges,
+            self._frozen_feature_mask, self._frozen_structure_values,
+            self._edge_sensitivity,
         )
 
     def fit(

@@ -1,6 +1,6 @@
 """Graph data structures and graph-level preprocessing."""
 
-from .graph import Graph
+from .graph import Graph, pack_graph, unpack_graph
 from .khop import khop_adjacency, khop_edge_index, scatter_edge_values
 from .minibatch import (
     AnchorBatchSampler,
@@ -29,6 +29,8 @@ from .stats import (
 
 __all__ = [
     "Graph",
+    "pack_graph",
+    "unpack_graph",
     "khop_adjacency",
     "khop_edge_index",
     "scatter_edge_values",

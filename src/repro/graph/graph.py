@@ -9,7 +9,7 @@ k-hop expansions) that the model stack queries repeatedly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Mapping, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -224,3 +224,67 @@ class Graph:
         if self.labels is not None:
             parts.append(f"{self.num_classes} classes")
         return ", ".join(parts)
+
+
+def pack_graph(graph: Graph) -> Dict[str, np.ndarray]:
+    """Flatten a graph into named arrays: topology, features, labels, splits
+    and synthetic ground truth.  :func:`unpack_graph` inverts it.
+
+    The arrays are the graph's own (features, labels, masks, the cached edge
+    index), not copies: a graph is never mutated once built.
+    """
+    edge_index = graph.edge_index()
+    packed = {
+        "num_nodes": np.array(graph.num_nodes),
+        "edge_row": edge_index[0],
+        "edge_col": edge_index[1],
+        "edge_data": graph.edge_weights(),
+        "features": graph.features,
+        "name": np.array(graph.name),
+    }
+    if graph.labels is not None:
+        packed["labels"] = graph.labels
+    for mask_name in ("train_mask", "val_mask", "test_mask"):
+        mask = getattr(graph, mask_name)
+        if mask is not None:
+            packed[mask_name] = mask
+    gt = graph.extra.get("gt_edge_mask")
+    # `is not None`, not truthiness: an explicitly-empty mask ({}) means
+    # "annotated, zero positive edges" and must round-trip as such.
+    if gt is not None:
+        edges = np.array(sorted(gt), dtype=np.int64).reshape(-1, 2)
+        packed["gt_edges"] = edges
+        packed["gt_values"] = np.array(
+            [gt[tuple(edge)] for edge in edges], dtype=np.float64
+        )
+    if "motif_nodes" in graph.extra:
+        packed["motif_nodes"] = graph.extra["motif_nodes"]
+    return packed
+
+
+def unpack_graph(arrays: Mapping[str, np.ndarray]) -> Graph:
+    """Rebuild the graph :func:`pack_graph` flattened (``arrays`` may be an
+    open ``.npz`` archive)."""
+    num_nodes = int(arrays["num_nodes"])
+    adjacency = sp.coo_matrix(
+        (arrays["edge_data"], (arrays["edge_row"], arrays["edge_col"])),
+        shape=(num_nodes, num_nodes),
+    ).tocsr()
+    graph = Graph(
+        adjacency=adjacency,
+        features=arrays["features"],
+        name=str(arrays["name"]),
+        **{
+            key: arrays[key]
+            for key in ("labels", "train_mask", "val_mask", "test_mask")
+            if key in arrays
+        },
+    )
+    if "gt_edges" in arrays:
+        edges, values = arrays["gt_edges"], arrays["gt_values"]
+        graph.extra["gt_edge_mask"] = {
+            (int(u), int(v)): float(w) for (u, v), w in zip(edges, values)
+        }
+    if "motif_nodes" in arrays:
+        graph.extra["motif_nodes"] = arrays["motif_nodes"]
+    return graph

@@ -30,7 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .core.explanations import Explanations
-from .graph import Graph
+from .graph import Graph, pack_graph, unpack_graph
 from .resilience.storage import CheckpointError, atomic_savez, open_npz
 from .tensor import Module
 
@@ -51,35 +51,10 @@ def save_graph(graph: Graph, path: PathLike) -> None:
     """Write a graph (topology, features, labels, splits, ground truth).
 
     Crash-safe: the archive is written to a ``.tmp`` sibling, fsynced, then
-    atomically renamed into place.
+    atomically renamed into place.  The layout is
+    :func:`~repro.graph.pack_graph`'s, which training snapshots share.
     """
-    coo = graph.adjacency.tocoo()
-    payload = {
-        "num_nodes": np.array(graph.num_nodes),
-        "edge_row": coo.row.astype(np.int64),
-        "edge_col": coo.col.astype(np.int64),
-        "edge_data": coo.data,
-        "features": graph.features,
-        "name": np.array(graph.name),
-    }
-    if graph.labels is not None:
-        payload["labels"] = graph.labels
-    for mask_name in ("train_mask", "val_mask", "test_mask"):
-        mask = getattr(graph, mask_name)
-        if mask is not None:
-            payload[mask_name] = mask
-    gt = graph.extra.get("gt_edge_mask")
-    # `is not None`, not truthiness: an explicitly-empty mask ({}) means
-    # "annotated, zero positive edges" and must round-trip as such.
-    if gt is not None:
-        edges = np.array(sorted(gt), dtype=np.int64).reshape(-1, 2)
-        payload["gt_edges"] = edges
-        payload["gt_values"] = np.array(
-            [gt[tuple(edge)] for edge in edges], dtype=np.float64
-        )
-    if "motif_nodes" in graph.extra:
-        payload["motif_nodes"] = graph.extra["motif_nodes"]
-    atomic_savez(Path(path), **payload)
+    atomic_savez(Path(path), **pack_graph(graph))
 
 
 def load_graph(path: PathLike) -> Graph:
@@ -89,28 +64,7 @@ def load_graph(path: PathLike) -> Graph:
     archive instead of surfacing ``zipfile.BadZipFile`` / ``KeyError``.
     """
     with open_npz(Path(path), what="graph archive") as archive:
-        num_nodes = int(archive["num_nodes"])
-        adjacency = sp.coo_matrix(
-            (archive["edge_data"], (archive["edge_row"], archive["edge_col"])),
-            shape=(num_nodes, num_nodes),
-        ).tocsr()
-        graph = Graph(
-            adjacency=adjacency,
-            features=archive["features"],
-            labels=archive["labels"] if "labels" in archive else None,
-            train_mask=archive["train_mask"] if "train_mask" in archive else None,
-            val_mask=archive["val_mask"] if "val_mask" in archive else None,
-            test_mask=archive["test_mask"] if "test_mask" in archive else None,
-            name=str(archive["name"]),
-        )
-        if "gt_edges" in archive:
-            edges, values = archive["gt_edges"], archive["gt_values"]
-            graph.extra["gt_edge_mask"] = {
-                (int(u), int(v)): float(w) for (u, v), w in zip(edges, values)
-            }
-        if "motif_nodes" in archive:
-            graph.extra["motif_nodes"] = archive["motif_nodes"]
-    return graph
+        return unpack_graph(archive)
 
 
 def save_checkpoint(module: Module, path: PathLike) -> None:

@@ -204,14 +204,6 @@ class WorkerSupervisor:
             return self.config.workers - len(self._dead_ranks)
         return len(self._handles)
 
-    def state_manifest(self) -> Dict:
-        """JSON-safe parallel state for the training-snapshot manifest."""
-        return {
-            "workers": self.config.workers,
-            "shards": self.config.shards,
-            "sampler": self.sampler.state_dict(),
-        }
-
     def epoch_shards(self) -> List[np.ndarray]:
         """This epoch's anchor shards (deterministic sampler stream)."""
         return self.sampler.epoch_batches()

@@ -12,7 +12,10 @@ piece of mutable state the two-phase schedule threads between epochs:
   resampling and Algorithm-1 sampling all draw from one stream);
 * phase/epoch counters, the training history, the accumulated edge
   sensitivity, frozen masks, negative sets and Algorithm-1 pair sets;
-* NaN-watchdog / monitor accumulators.
+* NaN-watchdog / monitor accumulators;
+* the training graph (:func:`repro.graph.pack_graph`'s arrays) and the
+  k-hop edge list, so a snapshot is self-contained: serving reads it with
+  no dataset generator and no trainer.
 
 Restoring a snapshot into a freshly-constructed trainer provably reproduces
 the uninterrupted run bit-for-bit (``tests/resilience/``), because every
@@ -20,8 +23,9 @@ subsequent stochastic draw and parameter update depends only on the state
 listed above.
 
 On disk a snapshot is a single ``.npz``: one entry per array plus a
-``__manifest__`` JSON blob carrying scalars, the config hash, the RNG state
-and a per-array checksum table.  Writes are atomic
+``__manifest__`` JSON blob carrying scalars, the config hash, the RNG state,
+the execution record (mode, sizes, sampler state) and a per-array checksum
+table.  Only the current format version is read.  Writes are atomic
 (:func:`repro.resilience.storage.atomic_savez`) and loads verify every
 checksum, so truncation or bit corruption is rejected with a
 :class:`~repro.resilience.storage.CheckpointError` instead of resuming from
@@ -39,6 +43,7 @@ from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
+from ..graph import negative_edge_index, pack_graph
 from ..obs.events import config_hash, jsonable
 from ..utils.seed import capture_rng_state, restore_rng_state
 from .storage import (
@@ -52,7 +57,7 @@ from .storage import (
 )
 
 SNAPSHOT_FORMAT = "ses-training-snapshot"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 LATEST_POINTER = "LATEST"
 
 
@@ -71,6 +76,15 @@ class TrainingSnapshot:
     @property
     def config_fingerprint(self) -> str:
         return self.manifest.get("config_hash", "")
+
+    def section(self, prefix: str) -> Dict[str, np.ndarray]:
+        """The arrays stored under ``prefix/``, keyed without the prefix."""
+        start = len(prefix) + 1
+        return {
+            key[start:]: value
+            for key, value in self.arrays.items()
+            if key.startswith(prefix + "/")
+        }
 
     def describe(self) -> str:
         done = self.completed
@@ -118,6 +132,49 @@ def _split_optimizer_state(state: Mapping) -> Tuple[Dict, Dict[str, List[np.ndar
     return meta, slots
 
 
+def _execution(trainer) -> Dict:
+    """The trainer's execution record: mode, its sizes and its sampler state.
+
+    Minibatch and parallel runs carry an anchor sampler whose RNG stream and
+    cursor must resume bit-identically alongside the trainer's generator.
+    """
+    runner, sampler = trainer._parallel, trainer._sampler
+    if runner is not None:
+        return {
+            "mode": "parallel",
+            "workers": runner.config.workers,
+            "shards": runner.config.shards,
+            "sampler": runner.sampler.state_dict(),
+        }
+    if sampler is not None:
+        return {
+            "mode": "minibatch",
+            "batch_size": sampler.batch_size,
+            "sampler": sampler.state_dict(),
+        }
+    return {"mode": "full"}
+
+
+def _describe_execution(sizes: Mapping) -> str:
+    if sizes["mode"] == "full":
+        return "non-parallel full-batch run"
+    detail = ", ".join(f"{k}={v}" for k, v in sizes.items() if k != "mode")
+    return f"{sizes['mode']} run with {detail}"
+
+
+def _check_format(manifest: Mapping, where: str) -> None:
+    """Refuse anything but a current-version training snapshot, in one line."""
+    if manifest.get("format") != SNAPSHOT_FORMAT:
+        raise CheckpointError(
+            f"{where} is not a training snapshot (format={manifest.get('format')!r})"
+        )
+    if manifest.get("version") != SNAPSHOT_VERSION:
+        raise CheckpointError(
+            f"{where} has format version {manifest.get('version')}; this build "
+            f"reads version {SNAPSHOT_VERSION} only"
+        )
+
+
 # ----------------------------------------------------------------------
 # Capture
 # ----------------------------------------------------------------------
@@ -133,27 +190,16 @@ def capture_training_snapshot(trainer) -> TrainingSnapshot:
         "version": SNAPSHOT_VERSION,
         "config": jsonable(trainer.config),
         "config_hash": config_hash(trainer.config),
-        "graph": {
-            "name": trainer.graph.name,
-            "num_nodes": int(trainer.graph.num_nodes),
-            "num_features": int(trainer.graph.num_features),
-        },
         "completed": {k: int(v) for k, v in trainer._completed.items()},
         "rng_state": capture_rng_state(trainer.rng),
         "best_val": float(trainer._best_val),
         "best_readout": trainer._best_readout,
+        "execution": _execution(trainer),
     }
-    # Minibatch mode: the anchor sampler's RNG stream and cursor must resume
-    # bit-identically alongside the trainer's generator.  The key is optional
-    # so snapshots from full-batch runs (including pre-minibatch archives)
-    # keep loading; ``None`` records an explicit full-batch run.
-    sampler = getattr(trainer, "_sampler", None)
-    manifest["minibatch"] = sampler.state_dict() if sampler is not None else None
-    # Parallel mode: worker/shard topology plus the shard sampler's stream.
-    # Same optionality contract as "minibatch" — absent/None means the run
-    # was not data-parallel (pre-parallel archives keep loading).
-    runner = getattr(trainer, "_parallel", None)
-    manifest["parallel"] = runner.state_manifest() if runner is not None else None
+    # The graph is never mutated, so its arrays are referenced, not copied.
+    for name, value in pack_graph(trainer.graph).items():
+        arrays[f"graph/{name}"] = value
+    arrays["khop/edges"] = trainer.khop_edges
 
     for name, value in trainer.model.state_dict().items():
         arrays[f"model/{name}"] = value  # state_dict already copies
@@ -219,24 +265,16 @@ def restore_training_snapshot(
     loudly when the snapshot's config hash differs from the trainer's —
     resuming a run under different hyper-parameters silently produces a
     third trajectory that matches neither, which is exactly the failure mode
-    checkpointing exists to prevent.
+    checkpointing exists to prevent.  The graph (split included) and the
+    k-hop edge list must match array for array.
     """
-    # Lazy imports: repro.core imports this module, so importing core/graph
+    # Lazy imports: repro.core imports this module, so importing core
     # symbols at module level would create an import cycle.
     from ..core.pairs import PairSets
     from ..core.ses import TrainingHistory
-    from ..graph import negative_edge_index
 
     manifest, arrays = snapshot.manifest, snapshot.arrays
-    if manifest.get("format") != SNAPSHOT_FORMAT:
-        raise CheckpointError(
-            f"not a training snapshot (format={manifest.get('format')!r})"
-        )
-    if int(manifest.get("version", -1)) > SNAPSHOT_VERSION:
-        raise CheckpointError(
-            f"snapshot version {manifest.get('version')} is newer than "
-            f"supported version {SNAPSHOT_VERSION}"
-        )
+    _check_format(manifest, "snapshot")
     own_hash = config_hash(trainer.config)
     if manifest.get("config_hash") != own_hash:
         message = (
@@ -246,20 +284,40 @@ def restore_training_snapshot(
         )
         if strict_config:
             raise CheckpointError(message)
-    graph_info = manifest.get("graph", {})
-    if int(graph_info.get("num_nodes", -1)) != int(trainer.graph.num_nodes):
-        raise CheckpointError(
-            f"snapshot was taken on a graph with {graph_info.get('num_nodes')} "
-            f"nodes; trainer graph has {trainer.graph.num_nodes}"
-        )
+    expected = {f"graph/{k}": v for k, v in pack_graph(trainer.graph).items()}
+    expected["khop/edges"] = trainer.khop_edges
+    extra = sorted(key for key in arrays if key.startswith("graph/") and key not in expected)
+    for name in list(expected) + extra:
+        if not np.array_equal(expected.get(name), arrays.get(name)):
+            raise CheckpointError(
+                f"snapshot array {name!r} differs from the trainer's: the "
+                "snapshot was taken on another graph, split or k-hop expansion"
+            )
 
-    trainer.model.load_state_dict(
-        {
-            key[len("model/"):]: value
-            for key, value in arrays.items()
-            if key.startswith("model/")
-        }
-    )
+    execution = manifest["execution"]
+    sizes = {k: v for k, v in execution.items() if k != "sampler"}
+    own = {k: v for k, v in _execution(trainer).items() if k != "sampler"}
+    # A trainer built without a mode adopts the snapshot's; any other
+    # difference would resume a different trajectory.
+    if own["mode"] == "full" and sizes["mode"] == "minibatch":
+        trainer._configure_minibatch(int(sizes["batch_size"]))
+    elif own["mode"] == "full" and sizes["mode"] == "parallel":
+        trainer.configure_parallel(int(sizes["workers"]), shards=int(sizes["shards"]))
+    elif own != sizes:
+        raise CheckpointError(
+            f"snapshot is from a {_describe_execution(sizes)}; trainer is "
+            f"configured for a {_describe_execution(own)} — resuming it that "
+            "way would not reproduce either trajectory"
+        )
+    if sizes["mode"] == "minibatch":
+        trainer._sampler.load_state_dict(execution["sampler"])
+    elif sizes["mode"] == "parallel":
+        trainer._parallel.sampler.load_state_dict(execution["sampler"])
+        # Restored negative pairs / pair sets differ from what the workers
+        # hold; force a constants re-ship on the next epoch.
+        trainer._parallel.invalidate_constants()
+
+    trainer.model.load_state_dict(snapshot.section("model"))
 
     snapshot_optimizers = manifest.get("optimizers", {})
     for phase in list(trainer._optimizers):
@@ -279,53 +337,6 @@ def restore_training_snapshot(
         optimizer.load_state_dict(state)
 
     restore_rng_state(trainer.rng, manifest["rng_state"])
-    sampler_state = manifest.get("minibatch")
-    sampler = getattr(trainer, "_sampler", None)
-    if sampler_state is not None:
-        if sampler is None:
-            trainer._configure_minibatch(int(sampler_state["batch_size"]))
-            sampler = trainer._sampler
-        elif sampler.batch_size != int(sampler_state["batch_size"]):
-            raise CheckpointError(
-                f"snapshot is from a minibatch run with batch_size="
-                f"{sampler_state['batch_size']}; trainer is configured with "
-                f"batch_size={sampler.batch_size}"
-            )
-        sampler.load_state_dict(sampler_state)
-    elif sampler is not None:
-        raise CheckpointError(
-            "snapshot is from a full-batch run; trainer is configured with "
-            f"batch_size={sampler.batch_size} — resuming it as a minibatch "
-            "run would not reproduce either trajectory"
-        )
-    parallel_state = manifest.get("parallel")
-    runner = getattr(trainer, "_parallel", None)
-    if parallel_state is not None:
-        workers = int(parallel_state["workers"])
-        shards = int(parallel_state["shards"])
-        if runner is None:
-            trainer.configure_parallel(workers, shards=shards)
-            runner = trainer._parallel
-        elif runner.config.workers != workers:
-            raise CheckpointError(
-                f"snapshot is from a parallel run with workers={workers}; "
-                f"trainer is configured with workers={runner.config.workers}"
-            )
-        elif runner.config.shards != shards:
-            raise CheckpointError(
-                f"snapshot is from a parallel run with shards={shards}; "
-                f"trainer is configured with shards={runner.config.shards}"
-            )
-        runner.sampler.load_state_dict(parallel_state["sampler"])
-        # Restored negative pairs / pair sets differ from what the workers
-        # hold; force a constants re-ship on the next epoch.
-        runner.invalidate_constants()
-    elif runner is not None:
-        raise CheckpointError(
-            "snapshot is from a non-parallel run; trainer is configured with "
-            f"workers={runner.config.workers} — resuming it as a parallel "
-            "run is only safe from a parallel snapshot"
-        )
     # Restored negative/pair sets may not match previously cached subgraphs.
     cache = getattr(trainer, "_batch_cache", None)
     if cache is not None:
@@ -335,9 +346,7 @@ def restore_training_snapshot(
     trainer._best_readout = manifest["best_readout"]
     if manifest.get("has_best"):
         trainer._best_state = {
-            key[len("best/"):]: value.copy()
-            for key, value in arrays.items()
-            if key.startswith("best/")
+            key: value.copy() for key, value in snapshot.section("best").items()
         }
     else:
         trainer._best_state = None
@@ -354,23 +363,13 @@ def restore_training_snapshot(
     )
     trainer._edge_sensitivity = arrays["sens/edge_sensitivity"].copy()
 
-    trainer._negative_sets = _unpack_int_map(
-        arrays["neg/keys"], arrays["neg/offsets"], arrays["neg/values"]
-    )
+    trainer._negative_sets = _unpack_int_map(**snapshot.section("neg"))
     trainer.negative_pairs = negative_edge_index(trainer._negative_sets)
 
     if manifest.get("has_pairs"):
         trainer.pairs = PairSets(
-            positive=_unpack_int_map(
-                arrays["pairs/positive/keys"],
-                arrays["pairs/positive/offsets"],
-                arrays["pairs/positive/values"],
-            ),
-            negative=_unpack_int_map(
-                arrays["pairs/negative/keys"],
-                arrays["pairs/negative/offsets"],
-                arrays["pairs/negative/values"],
-            ),
+            positive=_unpack_int_map(**snapshot.section("pairs/positive")),
+            negative=_unpack_int_map(**snapshot.section("pairs/negative")),
         )
     else:
         trainer.pairs = None
@@ -407,7 +406,8 @@ def save_snapshot(snapshot: TrainingSnapshot, path: PathLike) -> Path:
 
 
 def load_snapshot(path: PathLike) -> TrainingSnapshot:
-    """Read and fully verify a snapshot; :class:`CheckpointError` on damage."""
+    """Read and fully verify a snapshot; :class:`CheckpointError` on damage
+    or on any format version but the current one."""
     with open_npz(path, what="training snapshot") as archive:
         if "__manifest__" not in archive.files:
             raise CheckpointError(f"training snapshot at {path} has no manifest")
@@ -418,10 +418,7 @@ def load_snapshot(path: PathLike) -> TrainingSnapshot:
                 f"training snapshot at {path} has an unreadable manifest: {error}"
             ) from error
         arrays = {key: archive[key] for key in archive.files if key != "__manifest__"}
-    if manifest.get("format") != SNAPSHOT_FORMAT:
-        raise CheckpointError(
-            f"{path} is not a training snapshot (format={manifest.get('format')!r})"
-        )
+    _check_format(manifest, str(path))
     checksums = manifest.get("checksums")
     if not isinstance(checksums, dict):
         raise CheckpointError(f"training snapshot at {path} has no checksum table")
@@ -434,46 +431,61 @@ def write_latest_pointer(directory: PathLike, snapshot_name: str) -> None:
     atomic_write_text(Path(directory) / LATEST_POINTER, snapshot_name + "\n")
 
 
+def _is_file_name(name: str) -> bool:
+    """Whether ``name`` names a file directly inside a directory."""
+    return os.path.basename(name) == name and name not in ("", ".", "..")
+
+
+def snapshot_candidates(directory: PathLike) -> Tuple[Optional[Path], List[Path]]:
+    """``(pointed, candidates)``: the file ``LATEST`` names (``None`` without
+    a usable pointer), then every ``*.npz`` newest-first after it.
+
+    A pointer that is not a bare file name (absolute, ``..``, a subdirectory)
+    leads out of ``directory``: it is stale, raises a :class:`RuntimeWarning`
+    and names no candidate.  A snapshot the pruner deletes between listing
+    and ``stat`` is dropped instead of raising ``FileNotFoundError``.
+    """
+    directory = Path(directory)
+    try:
+        name = (directory / LATEST_POINTER).read_text(encoding="utf-8").strip()
+    except OSError:
+        name = ""
+    pointed: Optional[Path] = None
+    if name and _is_file_name(name):
+        pointed = directory / name
+    elif name:
+        warnings.warn(
+            f"LATEST pointer in {directory} names {name!r}, which is not a "
+            "file name in that directory; falling back to the newest snapshot",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    keyed: List[Tuple[float, str, Path]] = []
+    for path in directory.glob("*.npz"):
+        try:
+            keyed.append((os.path.getmtime(path), path.name, path))
+        except OSError:
+            continue  # deleted between listing and stat (pruner race)
+    keyed.sort(reverse=True)
+    candidates = [] if pointed is None else [pointed]
+    candidates.extend(path for _, _, path in keyed if path != pointed)
+    return pointed, candidates
+
+
 def find_latest_snapshot(directory: PathLike) -> Tuple[TrainingSnapshot, Path]:
     """Locate and load the newest *valid* snapshot in ``directory``.
 
-    Tries the ``LATEST`` pointer first, then every ``.npz`` newest-first.
-    Corrupt or truncated candidates are skipped (with their failure recorded
-    in the final error message if nothing loads), so a crash during the most
-    recent save falls back to the previous snapshot instead of aborting.
-    A stale ``LATEST`` pointer — one naming a deleted or damaged snapshot —
-    falls back the same way but raises a :class:`RuntimeWarning`, because a
-    pointer that disagrees with the directory usually means a promotion went
-    wrong and hot-reload consumers should know they are serving a fallback.
-
-    Concurrency-safe against a pruner: a snapshot deleted between directory
-    listing and ``stat`` (``SESTrainer._prune_checkpoints`` runs while the
-    serving watcher polls) is silently dropped from the candidate list
-    instead of surfacing as an uncaught ``FileNotFoundError``.
+    Tries the :func:`snapshot_candidates` in order.  Corrupt or truncated
+    candidates are skipped (with their failure recorded in the final error
+    message if nothing loads), so a crash during the most recent save falls
+    back to the previous snapshot instead of aborting.  A stale ``LATEST``
+    pointer — one naming a deleted or damaged snapshot — falls back the same
+    way but raises a :class:`RuntimeWarning`, because a pointer that
+    disagrees with the directory usually means a promotion went wrong and
+    hot-reload consumers should know they are serving a fallback.
     """
     directory = Path(directory)
-    pointer_target: Optional[Path] = None
-    pointer = directory / LATEST_POINTER
-    try:
-        name = pointer.read_text(encoding="utf-8").strip()
-    except OSError:
-        name = ""
-    if name:
-        pointer_target = directory / name
-    keyed: List[Tuple[float, str, Path]] = []
-    for path in directory.glob("*.npz"):
-        if path.name.endswith(".tmp"):
-            continue
-        try:
-            mtime = os.path.getmtime(path)
-        except OSError:
-            continue  # deleted between listing and stat (pruner race)
-        keyed.append((mtime, path.name, path))
-    keyed.sort(reverse=True)
-    candidates: List[Path] = [] if pointer_target is None else [pointer_target]
-    for _, _, path in keyed:
-        if path not in candidates:
-            candidates.append(path)
+    pointed, candidates = snapshot_candidates(directory)
     failures: List[str] = []
     for path in candidates:
         try:
@@ -481,9 +493,9 @@ def find_latest_snapshot(directory: PathLike) -> Tuple[TrainingSnapshot, Path]:
         except CheckpointError as error:
             failures.append(str(error))
             continue
-        if failures and pointer_target is not None and path != pointer_target:
+        if failures and pointed is not None and path != pointed:
             warnings.warn(
-                f"LATEST pointer in {directory} names {pointer_target.name!r} "
+                f"LATEST pointer in {directory} names {pointed.name!r} "
                 f"which failed to load ({failures[0]}); falling back to "
                 f"{path.name!r}",
                 RuntimeWarning,

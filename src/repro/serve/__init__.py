@@ -14,7 +14,7 @@ Entry point: ``python -m repro serve --snapshot-dir <dir>``.
 """
 
 from .server import SESRequestHandler, SESServer, create_server
-from .state import ServeError, ServingState, dataset_key_for, load_serving_state
+from .state import ServeError, ServingState, load_serving_state
 from .store import ExplanationStore
 from .watcher import SnapshotWatcher, StateHolder, current_snapshot_token
 
@@ -28,6 +28,5 @@ __all__ = [
     "StateHolder",
     "create_server",
     "current_snapshot_token",
-    "dataset_key_for",
     "load_serving_state",
 ]

@@ -36,13 +36,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8080,
                         help="listen port (0 = ephemeral)")
-    parser.add_argument("--dataset", default=None,
-                        help="registry dataset key (default: derived from the "
-                             "snapshot manifest's graph name)")
-    parser.add_argument("--scale", type=float, default=1.0,
-                        help="dataset scale used at training time (only "
-                             "needed for synthetic datasets; real-world "
-                             "graphs rebuild from the manifest node count)")
     parser.add_argument("--cache-size", type=int, default=1024,
                         help="explanation LRU capacity (entries)")
     parser.add_argument("--explain-top-k", type=int, default=16,
@@ -77,8 +70,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     def loader(token: str):
         state = load_serving_state(
             snapshot_dir,
-            dataset=args.dataset,
-            scale=args.scale,
             cache_size=args.cache_size,
             explain_top_k=args.explain_top_k,
             source_token=token,

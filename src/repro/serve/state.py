@@ -1,16 +1,16 @@
-"""Serving state: a restored snapshot made inference-ready.
+"""Serving state: a training snapshot made inference-ready.
 
 :func:`load_serving_state` turns a :class:`~repro.resilience.TrainingSnapshot`
-on disk into everything the HTTP layer needs to answer requests:
+on disk into everything the HTTP layer needs to answer requests, from the
+snapshot file alone:
 
-* the dataset graph rebuilt deterministically from the snapshot manifest
-  (real-world datasets regenerate from ``num_nodes`` + the config seed, so
-  the loader needs no record of the original ``--scale`` flag);
-* a :class:`~repro.core.ses.SESTrainer` restored from the snapshot, with the
-  tracked best-validation encoder applied — exactly the model an
-  uninterrupted ``fit()`` would have returned;
-* full-graph logits/predictions computed once at load time (prediction is a
-  dict lookup per request, not a forward pass);
+* the training graph and its k-hop edge list, stored in the snapshot;
+* an :class:`~repro.core.ses.SESModel` holding the tracked best-validation
+  parameters when the run kept them (``keep_best``), else the last ones —
+  exactly the model an uninterrupted ``fit()`` would have returned;
+* full-graph logits/predictions computed once at load time by the same
+  :mod:`repro.core.ses` inference functions the trainer uses (prediction is
+  a dict lookup per request, not a forward pass);
 * the :class:`~repro.serve.store.ExplanationStore` lazily materialising
   per-node explanation payloads from the assembled ``E_feat``/``E_sub``.
 
@@ -25,45 +25,39 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, fields as dataclass_fields
 from pathlib import Path
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Optional
 
 import numpy as np
 
 from ..core.config import SESConfig
+from ..core.explanations import Explanations
+from ..core.ses import (
+    SESModel,
+    align_base_edges,
+    assemble_explanations,
+    readout_logits,
+    select_readout,
+)
+from ..graph import Graph, unpack_graph
 from ..metrics import logits_to_predictions
 from ..obs.metrics import MetricsRegistry
-from ..obs.recorder import NullRecorder
-from ..resilience.snapshot import TrainingSnapshot, find_latest_snapshot, load_snapshot
-from ..resilience.storage import CheckpointError, PathLike
+from ..resilience.snapshot import find_latest_snapshot, load_snapshot
+from ..resilience.storage import PathLike
 from .store import ExplanationStore
 
-__all__ = ["ServeError", "ServingState", "load_serving_state", "dataset_key_for"]
-
-# Graph.name as stamped by the dataset generators -> repro.datasets registry key.
-_NAME_TO_DATASET = {
-    "cora-like": "cora",
-    "citeseer-like": "citeseer",
-    "polblogs-like": "polblogs",
-    "cs-like": "cs",
-}
+__all__ = ["ServeError", "ServingState", "load_serving_state"]
 
 
 class ServeError(RuntimeError):
-    """A snapshot cannot be served (wrong phase, unknown dataset, ...)."""
-
-
-def dataset_key_for(graph_name: str) -> str:
-    """Map a snapshot manifest's graph name back to a registry dataset key."""
-    key = graph_name.strip().lower()
-    return _NAME_TO_DATASET.get(key, key.replace("-", "_").replace(" ", "_"))
+    """A snapshot cannot be served (taken before the masks froze, no config)."""
 
 
 @dataclass
 class ServingState:
     """One loaded snapshot, ready to answer predict/explain/neighbors."""
 
-    trainer: Any
-    explanations: Any
+    graph: Graph
+    explanations: Explanations
     logits: np.ndarray
     predictions: np.ndarray
     snapshot_path: Path
@@ -75,12 +69,8 @@ class ServingState:
     loaded_at: float = field(default_factory=time.time)
 
     @property
-    def graph(self):
-        return self.trainer.graph
-
-    @property
     def num_nodes(self) -> int:
-        return int(self.trainer.graph.num_nodes)
+        return int(self.graph.num_nodes)
 
     @property
     def snapshot_name(self) -> str:
@@ -150,102 +140,64 @@ def _config_from_manifest(manifest: Dict[str, Any]) -> SESConfig:
     return SESConfig(**{k: v for k, v in raw.items() if k in known})
 
 
-def _rebuild_graph(
-    manifest: Dict[str, Any],
-    config: SESConfig,
-    dataset: Optional[str],
-    scale: float,
-    split_seed: Optional[int],
-):
-    from ..datasets import load_dataset
-    from ..datasets.registry import real_world_names
-    from ..graph import classification_split
-
-    graph_info = manifest.get("graph", {})
-    key = dataset or dataset_key_for(str(graph_info.get("name", "")))
-    seed = int(config.seed)
-    kwargs: Dict[str, Any] = {}
-    if key in real_world_names():
-        # Real-world surrogates are fully determined by (num_nodes, seed):
-        # regenerating from the manifest's node count sidesteps any need to
-        # remember the original --scale flag.
-        num_nodes = int(graph_info.get("num_nodes", 0))
-        if num_nodes > 0:
-            kwargs["num_nodes"] = num_nodes
-    try:
-        graph = load_dataset(key, seed=seed, scale=scale, **kwargs)
-    except KeyError as error:
-        raise ServeError(
-            f"cannot rebuild dataset for snapshot graph "
-            f"{graph_info.get('name')!r}: {error}; pass dataset= explicitly"
-        ) from error
-    return classification_split(graph, seed=seed if split_seed is None else int(split_seed))
-
-
 def load_serving_state(
-    source: Union[PathLike, TrainingSnapshot],
-    dataset: Optional[str] = None,
-    scale: float = 1.0,
-    split_seed: Optional[int] = None,
+    source: PathLike,
     cache_size: int = 1024,
     explain_top_k: int = 16,
-    use_best: bool = True,
     registry: Optional[MetricsRegistry] = None,
     source_token: Optional[str] = None,
-    snapshot_path: Optional[PathLike] = None,
 ) -> ServingState:
-    """Load a snapshot (file, directory, or object) into a :class:`ServingState`.
+    """Load a snapshot file or directory into a :class:`ServingState`.
 
-    ``source`` may be a snapshot directory (the newest valid snapshot wins,
-    honouring the ``LATEST`` pointer with fallback), a ``.npz`` path, or an
-    already-loaded :class:`TrainingSnapshot` (then ``snapshot_path`` names
-    it for responses).  Raises :class:`ServeError` when the snapshot predates
-    mask freezing — explanations only exist once explainable training has
-    completed — and :class:`~repro.resilience.CheckpointError` on damage.
+    A directory resolves to its newest valid snapshot, honouring the
+    ``LATEST`` pointer with fallback.  Raises :class:`ServeError` when the
+    snapshot predates mask freezing — explanations only exist once
+    explainable training has completed — and
+    :class:`~repro.resilience.CheckpointError` on damage or an unsupported
+    format version.
     """
-    from ..core.ses import SESTrainer
-
-    if isinstance(source, TrainingSnapshot):
-        snapshot, path = source, Path(snapshot_path or "snapshot.npz")
+    path = Path(source)
+    if path.is_dir():
+        snapshot, path = find_latest_snapshot(path)
     else:
-        path = Path(source)
-        if path.is_dir():
-            snapshot, path = find_latest_snapshot(path)
-        else:
-            snapshot = load_snapshot(path)
+        snapshot = load_snapshot(path)
 
-    manifest = snapshot.manifest
-    config = _config_from_manifest(manifest)
-    graph = _rebuild_graph(manifest, config, dataset, scale, split_seed)
-    trainer = SESTrainer(graph, config, recorder=NullRecorder())
-    try:
-        trainer.restore(snapshot)
-    except CheckpointError as error:
-        raise CheckpointError(f"cannot serve snapshot at {path}: {error}") from error
-
-    if trainer._frozen_feature_mask is None or trainer._frozen_structure_values is None:
+    manifest, arrays = snapshot.manifest, snapshot.arrays
+    if not (manifest.get("has_frozen_feature") and manifest.get("has_frozen_structure")):
         raise ServeError(
             f"snapshot at {path} predates mask freezing "
             f"(completed={snapshot.completed}); serve needs a snapshot taken "
             "after explainable training finished"
         )
-    if use_best and config.keep_best and trainer._best_state is not None:
-        # Mirror the end of fit(): serve the best-validation encoder, not
-        # whatever the last epoch left behind.
-        trainer.model.load_state_dict(trainer._best_state)
+    config = _config_from_manifest(manifest)
+    graph = unpack_graph(snapshot.section("graph"))
+    khop_edges = arrays["khop/edges"]
+    feature_mask = arrays["frozen/feature_mask"]
+    structure_values = arrays["frozen/structure_values"]
 
-    logits = trainer.final_logits()
-    predictions = logits_to_predictions(logits)
-    explanations = trainer.explanations()
+    model = SESModel(graph.num_features, graph.num_classes, config)
+    # Mirror the end of fit(): serve the best-validation parameters, not
+    # whatever the last epoch left behind.
+    use_best = config.keep_best and manifest.get("has_best")
+    model.load_state_dict(snapshot.section("best" if use_best else "model"))
 
+    readout = select_readout(config, manifest["best_readout"])
+    edge_index = graph.edge_index()
+    logits = readout_logits(
+        model, config, readout, graph.features, edge_index, feature_mask,
+        structure_values, align_base_edges(khop_edges, edge_index, graph.num_nodes),
+    )
     state = ServingState(
-        trainer=trainer,
-        explanations=explanations,
+        graph=graph,
+        explanations=assemble_explanations(
+            config, graph.features, khop_edges, feature_mask, structure_values,
+            arrays["sens/edge_sensitivity"],
+        ),
         logits=logits,
-        predictions=predictions,
+        predictions=logits_to_predictions(logits),
         snapshot_path=path,
         store=None,  # type: ignore[arg-type]  # bound just below
-        readout=trainer.active_readout(),
+        readout=readout,
         completed=snapshot.completed,
         source_token=source_token,
         explain_top_k=int(explain_top_k),

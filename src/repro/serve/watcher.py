@@ -24,14 +24,13 @@ which is the contract the API tests pin.
 
 from __future__ import annotations
 
-import os
 import threading
 from pathlib import Path
 from typing import Callable, Optional
 
 from ..obs.metrics import MetricsRegistry, default_registry
 from ..obs.recorder import NullRecorder
-from ..resilience.snapshot import LATEST_POINTER
+from ..resilience.snapshot import snapshot_candidates
 from .state import ServingState
 
 __all__ = ["StateHolder", "SnapshotWatcher", "current_snapshot_token"]
@@ -40,31 +39,14 @@ __all__ = ["StateHolder", "SnapshotWatcher", "current_snapshot_token"]
 def current_snapshot_token(directory: Path) -> Optional[str]:
     """Identify the snapshot the directory currently advertises.
 
-    The ``LATEST`` pointer's content when present and non-empty, else the
-    newest ``.npz`` filename, else ``None`` (nothing to serve yet).  The
-    token is compared against the token the live state was loaded under, so
-    a stale pointer that fell back does not retrigger a reload every poll.
+    The file name the ``LATEST`` pointer names when it is usable, else the
+    newest ``.npz`` filename, else ``None`` (nothing to serve yet); see
+    :func:`~repro.resilience.snapshot.snapshot_candidates`.  The token is
+    compared against the token the live state was loaded under, so a stale
+    pointer that fell back does not retrigger a reload every poll.
     """
-    directory = Path(directory)
-    pointer = directory / LATEST_POINTER
-    try:
-        name = pointer.read_text(encoding="utf-8").strip()
-    except OSError:
-        name = ""
-    if name:
-        return name
-    newest: Optional[str] = None
-    newest_key = None
-    for path in directory.glob("*.npz"):
-        if path.name.endswith(".tmp"):
-            continue
-        try:
-            key = (os.path.getmtime(path), path.name)
-        except OSError:
-            continue  # pruned between listing and stat
-        if newest_key is None or key > newest_key:
-            newest_key, newest = key, path.name
-    return newest
+    _, candidates = snapshot_candidates(directory)
+    return candidates[0].name if candidates else None
 
 
 class StateHolder:

@@ -4,7 +4,8 @@ Hot-reload (repro.serve) polls the pointer while training prunes and
 rewrites snapshots, so the loader must (a) fall back to the newest valid
 manifest when the pointer names a deleted or corrupt snapshot — with a
 warning, because a disagreeing pointer means a promotion went wrong — and
-(b) tolerate files vanishing between directory listing and ``stat``.
+(b) tolerate files vanishing between directory listing and ``stat``, and
+(c) never follow a pointer out of the snapshot directory.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from repro.resilience.snapshot import (
     write_latest_pointer,
 )
 from repro.resilience.storage import CheckpointError
+from repro.serve import current_snapshot_token
 
 
 def write_valid_snapshot(directory, name, tag=0):
@@ -112,3 +114,19 @@ def test_prune_race_during_stat_is_tolerated(tmp_path, monkeypatch):
     snapshot, path = find_latest_snapshot(tmp_path)
     assert path == survivor
     assert snapshot.completed == {"explainable": 3}
+
+
+@pytest.mark.parametrize("outside", ["../snap-outside.npz", "absolute"])
+def test_pointer_out_of_the_directory_is_stale(tmp_path, outside):
+    """``LATEST`` must name a file inside the directory, nothing else."""
+    directory = tmp_path / "snapshots"
+    directory.mkdir()
+    escaped = write_valid_snapshot(tmp_path, "snap-outside.npz", tag=9)
+    write_valid_snapshot(directory, "snap-inside.npz", tag=1)
+    write_latest_pointer(directory, str(escaped) if outside == "absolute" else outside)
+    with pytest.warns(RuntimeWarning, match="not a file name"):
+        snapshot, path = find_latest_snapshot(directory)
+    assert path == directory / "snap-inside.npz"
+    assert snapshot.completed == {"explainable": 1}
+    with pytest.warns(RuntimeWarning, match="not a file name"):
+        assert current_snapshot_token(directory) == "snap-inside.npz"

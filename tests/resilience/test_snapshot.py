@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core import SESTrainer, fast_config
+from repro.datasets import cora_like
+from repro.graph import classification_split
 from repro.resilience import (
     CheckpointError,
     array_checksum,
@@ -169,6 +171,25 @@ class TestTrainerSnapshot:
         other = SESTrainer(tiny_graph, _config())
         with pytest.raises(CheckpointError, match="nodes"):
             other.restore(trainer.snapshot())
+
+    def test_same_size_graph_with_other_split_rejected(self, small_cora):
+        trainer = SESTrainer(small_cora, _config())
+        trainer.train_explainable(epochs=1)
+        # small_cora's graph under another split seed: same nodes, same edges.
+        resplit = classification_split(
+            cora_like(num_nodes=150, num_classes=4, feature_dim=60, seed=3), seed=4
+        )
+        other = SESTrainer(resplit, _config())
+        with pytest.raises(CheckpointError, match="graph/train_mask"):
+            other.restore(trainer.snapshot())
+
+    def test_other_khop_edges_rejected(self, small_cora):
+        trainer = SESTrainer(small_cora, _config())
+        trainer.train_explainable(epochs=1)
+        snapshot = trainer.snapshot()
+        snapshot.arrays["khop/edges"] = snapshot.arrays["khop/edges"][:, 1:]
+        with pytest.raises(CheckpointError, match="khop/edges"):
+            SESTrainer(small_cora, _config()).restore(snapshot)
 
 
 class TestDamageDetection:

@@ -58,7 +58,6 @@ def registry() -> MetricsRegistry:
 
 
 def make_state(source, registry, **kwargs):
-    kwargs.setdefault("dataset", DATASET)
     return load_serving_state(source, registry=registry, **kwargs)
 
 

@@ -7,12 +7,15 @@ here, not in a consumer.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.datasets import load_dataset
+from repro.graph import classification_split, pack_graph
 from repro.obs.metrics import parse_exposition
 from repro.serve import ServeError, StateHolder, create_server, load_serving_state
 
-from .conftest import Client, make_state, shutdown_server
+from .conftest import DATASET, SCALE, SEED, Client, make_state, shutdown_server
 
 pytestmark = pytest.mark.network
 
@@ -157,15 +160,21 @@ class TestLoaderContract:
     def test_pre_freeze_snapshot_is_rejected(self, snapshot_dir, registry):
         early = sorted(snapshot_dir.glob("snap-explainable-*.npz"))[0]
         with pytest.raises(ServeError, match="mask freezing"):
-            load_serving_state(early, dataset="cora", registry=registry)
+            load_serving_state(early, registry=registry)
 
     def test_explicit_snapshot_file(self, predictive_snapshots, registry):
         state = make_state(predictive_snapshots[0], registry)
         assert state.snapshot_name == predictive_snapshots[0].name
         assert state.predictions.shape == (state.num_nodes,)
 
-    def test_dataset_key_derived_from_manifest(self, snapshot_dir, registry):
-        # No dataset= hint: the loader maps the manifest graph name back to
-        # the registry key and rebuilds from the recorded node count.
+    def test_graph_read_from_snapshot(self, snapshot_dir, registry):
+        # The snapshot carries the training graph, split included: serving
+        # regenerates nothing.
         state = load_serving_state(snapshot_dir, registry=registry)
-        assert state.graph.name == "Cora-like"
+        trained = pack_graph(
+            classification_split(load_dataset(DATASET, scale=SCALE, seed=SEED), seed=SEED)
+        )
+        served = pack_graph(state.graph)
+        assert served.keys() == trained.keys()
+        for name, value in trained.items():
+            np.testing.assert_array_equal(served[name], value, err_msg=name)

@@ -5,10 +5,19 @@ import numpy as np
 import pytest
 
 from repro.core import MaskGenerator, SESConfig, SESTrainer, fast_config
+from repro.core.ses import explanation_edge_values
 from repro.datasets import cora_like
 from repro.graph import classification_split
 from repro.nn import GraphEncoder
 from repro.tensor import Tensor
+
+
+def edge_values(trainer):
+    return explanation_edge_values(
+        trainer.config.structure_explanation,
+        trainer._frozen_structure_values,
+        trainer._edge_sensitivity,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -30,14 +39,14 @@ class TestSensitivityExplanations:
         trained_trainer.config = trained_trainer.config.with_overrides(
             structure_explanation="mask"
         )
-        values = trained_trainer._explanation_edge_values()
+        values = edge_values(trained_trainer)
         np.testing.assert_allclose(values, trained_trainer._frozen_structure_values)
 
     def test_sensitivity_mode_is_rank_normalised(self, trained_trainer):
         trained_trainer.config = trained_trainer.config.with_overrides(
             structure_explanation="sensitivity"
         )
-        values = trained_trainer._explanation_edge_values()
+        values = edge_values(trained_trainer)
         assert values.min() >= 0.0 and values.max() <= 1.0
         # Rank-normalised values of a mostly-distinct signal are ~uniform.
         assert len(np.unique(values)) > len(values) // 2
@@ -45,11 +54,11 @@ class TestSensitivityExplanations:
     def test_blend_mode_between_components(self, trained_trainer):
         cfg = trained_trainer.config
         trained_trainer.config = cfg.with_overrides(structure_explanation="blend")
-        blend = trained_trainer._explanation_edge_values()
+        blend = edge_values(trained_trainer)
         trained_trainer.config = cfg.with_overrides(structure_explanation="mask")
-        mask = trained_trainer._explanation_edge_values()
+        mask = edge_values(trained_trainer)
         trained_trainer.config = cfg.with_overrides(structure_explanation="sensitivity")
-        sens = trained_trainer._explanation_edge_values()
+        sens = edge_values(trained_trainer)
         np.testing.assert_allclose(blend, 0.5 * (mask + sens))
 
     def test_no_masked_xent_falls_back_to_mask(self, small_cora):
@@ -60,7 +69,7 @@ class TestSensitivityExplanations:
         trainer = SESTrainer(small_cora, config)
         trainer.train_explainable()
         assert trainer._edge_sensitivity.max() == 0
-        values = trainer._explanation_edge_values()
+        values = edge_values(trainer)
         np.testing.assert_allclose(values, trainer._frozen_structure_values)
 
     def test_config_validation(self):
