@@ -5,10 +5,12 @@ Trains the same small SES configuration three times in one process —
 * ``metrics_off``  — the registry kill switch flipped off (every update a
   single flag check; the floor ``metrics_on`` is compared against);
 * ``metrics_on``   — the shipped default (always-on counters, gauges and
-  histograms updated by the trainer, CSR cache and resilience runtime);
-* ``telemetry``    — metrics on plus an in-memory run record and the
-  default monitors (the floor ``metrics_live`` is compared against: a
-  recorder activates monitors regardless of the dashboard);
+  histograms: the training families derived from the trainer's events,
+  and the CSR cache counters);
+* ``telemetry``    — metrics on plus an in-memory run record, which also
+  turns on the health events and the NaN watchdog (the floor
+  ``metrics_live`` is compared against: a recorder activates them
+  regardless of the dashboard);
 * ``metrics_live`` — ``telemetry`` *plus* a
   :class:`~repro.obs.LiveDashboard` listening on the recorder, rendering
   to a discarded non-TTY stream (the ``run-ses --live`` configuration).
@@ -54,12 +56,7 @@ def train_once(mode):
     from repro.core import SESTrainer, fast_config
     from repro.datasets import load_dataset
     from repro.graph import classification_split
-    from repro.obs import (
-        LiveDashboard,
-        RunRecorder,
-        default_monitors,
-        default_registry,
-    )
+    from repro.obs import LiveDashboard, RunRecorder, default_registry
     from repro.tensor import clear_layout_cache
 
     registry = default_registry()
@@ -84,13 +81,7 @@ def train_once(mode):
             dashboard = LiveDashboard(
                 stream=io.StringIO(), registry=registry, force_tty=False
             ).attach(recorder)
-    trainer = (
-        SESTrainer(graph, config)
-        if recorder is None
-        else SESTrainer(
-            graph, config, recorder=recorder, monitors=default_monitors(recorder)
-        )
-    )
+    trainer = SESTrainer(graph, config, recorder=recorder)
     start = time.perf_counter()
     trainer.fit()
     seconds = time.perf_counter() - start

@@ -123,15 +123,13 @@ def main() -> int:
         from repro.core import SESTrainer, fast_config
         from repro.datasets import load_dataset
         from repro.graph import classification_split
-        from repro.obs import RunRecorder, default_monitors, summarize_run
+        from repro.obs import RunRecorder, summarize_run
 
         graph = classification_split(load_dataset("cora", scale=0.15, seed=0), seed=0)
         config = fast_config("gcn", explainable_epochs=2, predictive_epochs=1, seed=0)
         buffer = io.StringIO()
         recorder = RunRecorder(run_id="selfcheck", path=buffer)
-        SESTrainer(
-            graph, config, recorder=recorder, monitors=default_monitors(recorder)
-        ).fit()
+        SESTrainer(graph, config, recorder=recorder).fit()
         events = [json.loads(line) for line in buffer.getvalue().strip().split("\n")]
         summary = summarize_run(events)
         assert summary["phases"]["explainable"]["epochs"] == 2
@@ -269,8 +267,7 @@ def main() -> int:
         import json
 
         json.loads(registry.snapshot_json())
-        # The training wiring registered its always-on families at import.
-        import repro.core.ses  # noqa: F401
+        # The process registry exposes its training families from creation.
         from repro.obs import default_registry
 
         assert default_registry().get("repro_epoch_seconds") is not None

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import os
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
@@ -53,8 +54,17 @@ from ..tensor import (
     segment_mean,
     segment_sum,
 )
-from ..obs import MonitorSet, NullRecorder, NumericalAnomalyError, default_monitors, default_recorder
-from ..obs.metrics import default_registry
+from ..obs import (
+    NaNWatchdog,
+    NullRecorder,
+    NumericalAnomalyError,
+    activation_stats,
+    default_recorder,
+    grad_stats,
+    mask_health,
+    param_stats,
+    triplet_margin,
+)
 from ..resilience import (
     FaultPlan,
     RecoveryManager,
@@ -74,28 +84,6 @@ from .explanations import Explanations
 from .losses import explainable_training_loss, predictive_learning_loss, subgraph_loss
 from .mask_generator import MaskGenerator
 from .pairs import PairSets, construct_pairs, pooled_pair_indices
-
-# Always-on training metrics (docs/OBSERVABILITY.md).  Families are bound
-# once at import; each update is a dict write, and REPRO_METRICS=0 reduces
-# it to a single flag check (overhead gated by results/BENCH_obs_metrics.json).
-_METRICS = default_registry()
-_EPOCHS_TOTAL = _METRICS.counter(
-    "repro_train_epochs_total", "Completed training epochs by phase"
-)
-_BATCHES_TOTAL = _METRICS.counter(
-    "repro_train_batches_total", "Processed minibatches by phase"
-)
-_EPOCH_SECONDS = _METRICS.histogram(
-    "repro_epoch_seconds", "Wall-clock seconds per completed training epoch"
-)
-_TRAIN_LOSS = _METRICS.gauge("repro_train_loss", "Most recent epoch loss by phase")
-_TRAIN_EPOCH = _METRICS.gauge(
-    "repro_train_epoch", "Completed-epoch counter of the current run by phase"
-)
-_SNAPSHOT_SECONDS = _METRICS.histogram(
-    "repro_snapshot_write_seconds",
-    "Wall-clock seconds spent writing one checkpoint snapshot to disk",
-)
 
 
 class SESModel(Module):
@@ -545,7 +533,6 @@ class SESTrainer:
         config: Optional[SESConfig] = None,
         rng: Optional[np.random.Generator] = None,
         recorder: Optional[NullRecorder] = None,
-        monitors: Optional[MonitorSet] = None,
         recovery: Optional[RecoveryPolicy] = None,
         faults: Optional[FaultPlan] = None,
     ) -> None:
@@ -562,19 +549,18 @@ class SESTrainer:
                 f"{graph.name}-{self.config.backbone}-seed{self.config.seed}"
             )
             self._owns_recorder = self.recorder.enabled
-        # Training-health monitors ride along with telemetry by default
-        # (REPRO_MONITORS=0 opts out); a falsy MonitorSet costs one branch
-        # per epoch and computes nothing.
-        self.monitors = monitors if monitors is not None else default_monitors(self.recorder)
-        if self.recorder.enabled:
-            self.recorder.run_start(
-                config=self.config,
-                seed=self.config.seed,
-                dataset=graph.name,
-                num_nodes=graph.num_nodes,
-                num_edges=graph.num_edges,
-                backbone=self.config.backbone,
-            )
+        # Health events (docs/OBSERVABILITY.md) ride along with telemetry:
+        # the watchdog is active and the statistics are computed only while
+        # the recorder is enabled.
+        self.watchdog = NaNWatchdog(self.recorder)
+        self.recorder.run_start(
+            config=self.config,
+            seed=self.config.seed,
+            dataset=graph.name,
+            num_nodes=graph.num_nodes,
+            num_edges=graph.num_edges,
+            backbone=self.config.backbone,
+        )
         self.model = SESModel(
             graph.num_features, graph.num_classes, self.config, rng=self.rng
         )
@@ -706,13 +692,12 @@ class SESTrainer:
         self._sampler = AnchorBatchSampler(
             self.num_nodes, batch_size, seed=self.config.seed
         )
-        if self.recorder.enabled:
-            self.recorder.emit(
-                "metric",
-                name="minibatch",
-                batch_size=self._sampler.batch_size,
-                num_batches=self._sampler.num_batches,
-            )
+        self.recorder.emit(
+            "metric",
+            name="minibatch",
+            batch_size=self._sampler.batch_size,
+            num_batches=self._sampler.num_batches,
+        )
 
     @property
     def batch_size(self) -> Optional[int]:
@@ -778,13 +763,12 @@ class SESTrainer:
             init_factory=self._parallel_init,
             fault_plan=self.faults,
         )
-        if self.recorder.enabled:
-            self.recorder.emit(
-                "metric",
-                name="parallel",
-                workers=config.workers,
-                shards=self._parallel.num_shards,
-            )
+        self.recorder.emit(
+            "metric",
+            name="parallel",
+            workers=config.workers,
+            shards=self._parallel.num_shards,
+        )
 
     @property
     def workers(self) -> Optional[int]:
@@ -916,13 +900,12 @@ class SESTrainer:
             self.pairs = construct_pairs(
                 weighted, self._negative_sets, self.config.sample_ratio, self.rng
             )
-        if self.recorder.enabled:
-            self.recorder.pairs(
-                num_anchors=len(self.pairs.anchors()),
-                num_positive=int(sum(len(p) for p in self.pairs.positive.values())),
-                num_negative=int(sum(len(n) for n in self.pairs.negative.values())),
-                seconds=self.stopwatch.durations.get("pairs", 0.0),
-            )
+        self.recorder.pairs(
+            num_anchors=len(self.pairs.anchors()),
+            num_positive=int(sum(len(p) for p in self.pairs.positive.values())),
+            num_negative=int(sum(len(n) for n in self.pairs.negative.values())),
+            seconds=self.stopwatch.durations.get("pairs", 0.0),
+        )
         return self.pairs
 
     # ------------------------------------------------------------------
@@ -960,15 +943,20 @@ class SESTrainer:
         """Run ``phase`` from ``self._completed[phase]`` up to ``epochs``.
 
         Each epoch runs under fault injection and the recovery policy: a
-        ``"retry"`` repeats the epoch, a ``"degrade"`` ends the phase.
+        ``"retry"`` repeats the epoch, a ``"degrade"`` ends the phase.  An
+        epoch is reported — one ``epoch`` event, from which the training
+        metric families are derived — only once it is committed, so a
+        rolled-back attempt leaves no trace.
         """
-        with self.recorder.phase(phase, self.stopwatch), self.monitors.watch(phase):
+        self.watchdog.context.update(phase=phase, epoch=None)
+        watch = self.watchdog if self.recorder.enabled else nullcontext()
+        with self.recorder.phase(phase, self.stopwatch), watch:
             if self.recovery is not None:
                 self.recovery.ensure_baseline(self)
             while self._completed[phase] < epochs:
                 epoch = self._completed[phase]
                 self.faults.check_crash(phase, epoch)
-                status = self._run_epoch_guarded(
+                status, record = self._run_epoch_guarded(
                     phase,
                     epoch,
                     lambda: self._run_epoch(phase, epoch, epochs, snapshot_set, callback),
@@ -976,6 +964,7 @@ class SESTrainer:
                 if status == "degrade":
                     break
                 if status == "ok":
+                    self.recorder.epoch(phase, epoch, **record)
                     self._completed[phase] = epoch + 1
                     self._after_epoch(phase)
 
@@ -986,8 +975,8 @@ class SESTrainer:
         epochs: int,
         snapshot_set: set,
         callback: Optional[Callable[[int, float], None]],
-    ) -> float:
-        """One epoch of either phase in any mode; returns the epoch loss.
+    ) -> Dict:
+        """One epoch of either phase in any mode; returns its epoch record.
 
         The mode shows in two places only: :meth:`_epoch_batches` picks the
         anchor batches, and the step rule is either an optimizer step per
@@ -997,18 +986,16 @@ class SESTrainer:
         if phase == "explainable" and self.config.resample_negatives and epoch > 0:
             self._resample_negatives()
         self.model.train()
-        self.monitors.set_context(phase=phase, epoch=epoch)
+        self.watchdog.context["epoch"] = epoch
         batches, fields = self._epoch_batches()
         pooled, constants = self._phase_inputs(phase, batches)
         step = self._step_per_batch if self._parallel is None else self._step_reduced
         with self.recorder.span(f"epoch{epoch}"):
             loss, records, step_fields = step(phase, epoch, batches, pooled, constants)
         fields.update(step_fields)
-        self._finish_epoch(
-            phase, epoch, epochs, loss, records, len(batches), fields,
-            snapshot_set, callback,
+        return self._finish_epoch(
+            phase, epoch, epochs, loss, records, fields, snapshot_set, callback
         )
-        return loss
 
     def _epoch_batches(self) -> Tuple[List[np.ndarray], Dict]:
         """This epoch's anchor batches and the epoch-record fields naming them.
@@ -1016,16 +1003,15 @@ class SESTrainer:
         The supervisor's shards, the sampler's batches, or one covering
         batch: full-batch training *is* ``batch_size=N``.
         """
+        fields: Dict = {}
         if self._parallel is not None:
-            shards = self._parallel.epoch_shards()
-            return shards, {"num_shards": len(shards)}
-        if self._sampler is not None:
+            batches = self._parallel.epoch_shards()
+        elif self._sampler is not None:
             batches = self._sampler.epoch_batches()
-            return batches, {
-                "num_batches": len(batches),
-                "batch_size": self._sampler.batch_size,
-            }
-        return [np.arange(self.num_nodes, dtype=np.int64)], {}
+            fields["batch_size"] = self._sampler.batch_size
+        else:
+            batches = [np.arange(self.num_nodes, dtype=np.int64)]
+        return batches, {"num_batches": len(batches), **fields}
 
     def _phase_inputs(
         self, phase: str, batches: List[np.ndarray]
@@ -1085,7 +1071,7 @@ class SESTrainer:
                 continue
             optimizer.step()
             records.append(record)
-            if self.monitors:
+            if self.recorder.enabled:
                 self._observe_batch(phase, epoch, result)
         losses = [record["loss"] for record in records]
         return (float(np.mean(losses)) if losses else 0.0), records, {}
@@ -1122,31 +1108,32 @@ class SESTrainer:
             optimizer.step()
         return outcome.loss, outcome.records, {"num_workers": supervisor.alive_workers}
 
+    def _emit_health(self, event: str, phase: str, epoch: int, payload, **labels) -> None:
+        if payload is not None:
+            self.recorder.emit(event, phase=phase, epoch=epoch, **labels, **payload)
+
     def _observe_batch(self, phase: str, epoch: int, result) -> None:
-        """Per-batch monitor events of the in-process step rule."""
-        monitors = self.monitors
+        """Per-batch health events of the in-process step rule."""
         if phase == "explainable":
-            monitors.observe_masks(
-                phase, epoch,
-                feature=result.feature_mask.data,
-                structure=result.structure_mask.data,
+            masks = (("feature", result.feature_mask), ("structure", result.structure_mask))
+            for name, mask in masks:
+                self._emit_health("mask_health", phase, epoch, mask_health(mask.data), mask=name)
+            activations = (("hidden", result.hidden), ("logits", result.logits))
+        else:
+            activations = (
+                ("representation", result.representation), ("logits", result.logits)
             )
-            monitors.observe_activations(
-                phase, epoch, hidden=result.hidden.data, logits=result.logits.data
+        for name, tensor in activations:
+            self._emit_health(
+                "activation_stats", phase, epoch, activation_stats(tensor.data), tensor=name
             )
-            return
-        monitors.observe_activations(
-            phase, epoch,
-            representation=result.representation.data,
-            logits=result.logits.data,
-        )
-        if result.anchor is not None:
-            monitors.observe_triplet(
-                phase, epoch,
+        if phase == "predictive" and result.anchor is not None:
+            payload = triplet_margin(
                 np.linalg.norm(result.anchor.data - result.positive.data, axis=1),
                 np.linalg.norm(result.anchor.data - result.negative.data, axis=1),
                 self.config.margin,
             )
+            self._emit_health("triplet_margin", phase, epoch, payload)
 
     def _finish_epoch(
         self,
@@ -1155,23 +1142,23 @@ class SESTrainer:
         epochs: int,
         loss: float,
         records: List[Dict],
-        num_batches: int,
         fields: Dict,
         snapshot_set: set,
         callback: Optional[Callable[[int, float], None]],
-    ) -> None:
+    ) -> Dict:
         """The bookkeeping every epoch shares, whatever the mode.
 
         Folds the batch records in batch order (phase-1 edge sensitivity and
         mask sparsity), appends the history, validates (phase 2 also keeps
-        the best state), emits the epoch record and metrics, snapshots the
-        masks and calls ``callback``.
+        the best state), snapshots the masks, calls ``callback`` and returns
+        the epoch record the driver reports once the epoch is committed.
         """
         graph, history = self.graph, self.history
-        if self.monitors:
+        if self.recorder.enabled:
             trained = self.model if phase == "explainable" else self.model.encoder
-            self.monitors.after_backward(phase, epoch, trained.named_parameters())
-        _BATCHES_TOTAL.inc(num_batches, phase=phase)
+            named = list(trained.named_parameters())
+            self._emit_health("grad_stats", phase, epoch, grad_stats(named))
+            self._emit_health("param_stats", phase, epoch, param_stats(named))
         has_val = graph.val_mask is not None and graph.val_mask.any()
         val_accuracy = None
         if phase == "explainable":
@@ -1209,36 +1196,40 @@ class SESTrainer:
                     self._best_val = val_accuracy
                     self._best_state = self.model.state_dict()
                     self._best_readout = "masked" if masked_val >= plain_val else "plain"
-        if self.recorder.enabled:
-            self.recorder.epoch(phase, epoch, loss, val_accuracy=val_accuracy, **fields)
         if epoch in snapshot_set:
             # Batches see only slices of the masks, so snapshots come from a
             # full eval-mode scoring pass (no RNG draws: parity holds).
             history.mask_snapshots[epoch] = self._score_masks_eval()
         if callback is not None:
             callback(epoch, loss)
+        return {"loss": loss, "val_accuracy": val_accuracy, **fields}
 
     # ------------------------------------------------------------------
     # Fault tolerance: guarded epochs, snapshots, resume
     # ------------------------------------------------------------------
-    def _run_epoch_guarded(self, phase: str, epoch: int, body: Callable[[], float]) -> str:
+    def _run_epoch_guarded(
+        self, phase: str, epoch: int, body: Callable[[], Dict]
+    ) -> Tuple[str, Optional[Dict]]:
         """Run one epoch under fault injection and the recovery policy.
 
-        Returns ``"ok"`` (epoch completed), ``"retry"`` (rolled back to the
-        last good snapshot with the learning rate backed off — run the same
-        epoch again) or ``"degrade"`` (rolled back — end the phase here).
-        Without a recovery manager, anomalies keep the historical
-        fail-as-it-lies behaviour.
+        Returns ``(status, record)``.  The status is ``"ok"`` (epoch
+        completed; the record, timed in ``seconds``, is the ``epoch``
+        event payload), ``"retry"`` (rolled back to the last good snapshot
+        with the learning rate backed off — run the same epoch again) or
+        ``"degrade"`` (rolled back — end the phase here); a rolled-back
+        epoch has no record.  Without a recovery manager, anomalies keep the
+        historical fail-as-it-lies behaviour.
         """
         watchdog_before = self._watchdog_events()
         start = time.perf_counter()
         try:
             with self.faults.nan_injection(phase, epoch):
-                loss_value = float(body())
+                record = body()
         except NumericalAnomalyError as error:
             if self.recovery is None:
                 raise
-            return self.recovery.on_anomaly(self, phase, epoch, f"watchdog raised: {error}")
+            return self.recovery.on_anomaly(self, phase, epoch, f"watchdog raised: {error}"), None
+        loss_value = float(record["loss"])
         anomaly = None
         if not np.isfinite(loss_value):
             anomaly = f"non-finite loss ({loss_value!r})"
@@ -1251,26 +1242,12 @@ class SESTrainer:
         ):
             anomaly = "non-finite parameter after optimizer step"
         if anomaly is None or self.recovery is None:
-            self._note_epoch_metrics(phase, epoch, time.perf_counter() - start, loss_value)
-            return "ok"
-        return self.recovery.on_anomaly(self, phase, epoch, anomaly)
-
-    @staticmethod
-    def _note_epoch_metrics(
-        phase: str, epoch: int, seconds: float, loss_value: float
-    ) -> None:
-        """Fold one completed epoch into the process metrics registry."""
-        _EPOCHS_TOTAL.inc(phase=phase)
-        _EPOCH_SECONDS.observe(seconds, phase=phase)
-        _TRAIN_EPOCH.set(epoch + 1, phase=phase)
-        if np.isfinite(loss_value):
-            _TRAIN_LOSS.set(loss_value, phase=phase)
+            record["seconds"] = time.perf_counter() - start
+            return "ok", record
+        return self.recovery.on_anomaly(self, phase, epoch, anomaly), None
 
     def _watchdog_events(self) -> int:
-        watchdog = getattr(self.monitors, "watchdog", None)
-        if watchdog is None:
-            return 0
-        return len(watchdog.anomalies) + watchdog.suppressed
+        return len(self.watchdog.anomalies) + self.watchdog.suppressed
 
     def _params_finite(self) -> bool:
         return all(np.all(np.isfinite(p.data)) for p in self.model.parameters())
@@ -1326,16 +1303,16 @@ class SESTrainer:
             if phase in self._completed
             else f"snap-{phase}.npz"
         )
-        with _SNAPSHOT_SECONDS.time(phase=phase):
-            path = save_snapshot(self.snapshot(), directory / name)
-            write_latest_pointer(directory, path.name)
-        if self.recorder.enabled:
-            self.recorder.emit(
-                "snapshot_event",
-                phase=phase,
-                completed=dict(self._completed),
-                path=str(path),
-            )
+        start = time.perf_counter()
+        path = save_snapshot(self.snapshot(), directory / name)
+        write_latest_pointer(directory, path.name)
+        self.recorder.emit(
+            "snapshot_event",
+            phase=phase,
+            completed=dict(self._completed),
+            path=str(path),
+            seconds=time.perf_counter() - start,
+        )
         self._prune_checkpoints(directory)
         return path
 
@@ -1474,14 +1451,13 @@ class SESTrainer:
             if graph.val_mask is not None and graph.val_mask.any()
             else float("nan")
         )
-        if self.recorder.enabled:
-            self.recorder.run_end(
-                test_accuracy=test_accuracy,
-                val_accuracy=None if np.isnan(val_accuracy) else val_accuracy,
-                readout=self.active_readout(),
-                total_seconds=self.stopwatch.total(),
-                timings=dict(self.stopwatch.durations),
-            )
+        self.recorder.run_end(
+            test_accuracy=test_accuracy,
+            val_accuracy=None if np.isnan(val_accuracy) else val_accuracy,
+            readout=self.active_readout(),
+            total_seconds=self.stopwatch.total(),
+            timings=dict(self.stopwatch.durations),
+        )
         if self._owns_recorder:
             self.recorder.close()
         return SESResult(

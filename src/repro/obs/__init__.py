@@ -9,7 +9,7 @@ The observability layer of the reproduction (docs/OBSERVABILITY.md):
   records (``results/runs/*.jsonl``): epoch losses, mask sparsity, pair
   counts, phase timings, hierarchical trace spans, RNG seed and config
   hash.  Records finalize atomically (``.tmp`` + rename + fsync).
-* :mod:`repro.obs.monitors` — composable training-health monitors
+* :mod:`repro.obs.monitors` — training-health payload functions
   (gradient/parameter/activation statistics via streaming Welford
   accumulators, SES mask health, triplet margins) and the
   :class:`NaNWatchdog` that turns NaN/Inf into structured
@@ -21,7 +21,8 @@ The observability layer of the reproduction (docs/OBSERVABILITY.md):
 * :mod:`repro.obs.metrics` — process-wide Prometheus-style metrics
   (:class:`Counter`, :class:`Gauge`, :class:`Histogram`,
   :class:`MetricsRegistry` with text exposition + JSON snapshot) fed by
-  the trainer, the CSR kernels and the resilience runtime.
+  the CSR kernels, the parallel and serving layers, and — through
+  :data:`TRAINING_FAMILIES` — by the recorders' training events.
 * :mod:`repro.obs.trace` — ``python -m repro obs-trace run.jsonl``
   converts a run record into Chrome-trace/Perfetto JSON and collapsed
   flamegraph stacks.
@@ -39,24 +40,23 @@ from .metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
+    TRAINING_FAMILIES,
+    TrainingFamily,
     default_registry,
     exponential_buckets,
     metrics_enabled,
+    observe_event,
     parse_exposition,
 )
 from .monitors import (
-    ActivationStatsMonitor,
-    GradStatsMonitor,
-    MaskHealthMonitor,
-    Monitor,
-    MonitorSet,
     NaNWatchdog,
     NumericalAnomalyError,
-    ParamStatsMonitor,
-    TripletMarginMonitor,
     Welford,
-    default_monitors,
-    monitors_enabled,
+    activation_stats,
+    grad_stats,
+    mask_health,
+    param_stats,
+    triplet_margin,
 )
 from .profiler import OpProfiler, OpStat, active_profiler
 from .recorder import (
@@ -89,18 +89,14 @@ __all__ = [
     "RunRecorder",
     "default_recorder",
     "telemetry_enabled",
-    "Monitor",
-    "MonitorSet",
     "Welford",
-    "GradStatsMonitor",
-    "ParamStatsMonitor",
-    "ActivationStatsMonitor",
-    "MaskHealthMonitor",
-    "TripletMarginMonitor",
+    "grad_stats",
+    "param_stats",
+    "activation_stats",
+    "mask_health",
+    "triplet_margin",
     "NaNWatchdog",
     "NumericalAnomalyError",
-    "default_monitors",
-    "monitors_enabled",
     "load_events",
     "normalize_span_path",
     "render_report",
@@ -113,9 +109,12 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "TRAINING_FAMILIES",
+    "TrainingFamily",
     "default_registry",
     "exponential_buckets",
     "metrics_enabled",
+    "observe_event",
     "parse_exposition",
     "chrome_trace",
     "flamegraph_lines",

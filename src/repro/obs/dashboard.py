@@ -9,8 +9,7 @@ epoch event::
     masks feat 43.1% / struct 48.9% sparse  |  peak rss 412.3 MiB
     snapshots 3  recoveries 0  layout cache 97.2% hit
 
-Two inputs drive it (the "MetricsRegistry-subscribing sink on the
-recorder"):
+Two inputs drive it:
 
 * the :class:`~repro.obs.recorder.RunRecorder` listener hook delivers every
   telemetry event (epoch losses, phase boundaries, mask sparsity, recovery
@@ -65,9 +64,9 @@ def _peak_rss_bytes() -> Optional[int]:
         import resource
     except ImportError:  # pragma: no cover - non-POSIX platform
         return None
-    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    # Linux reports KiB, macOS bytes; treat small numbers as KiB.
-    return int(rss) * 1024 if rss < 1 << 32 else int(rss)
+    rss = int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+    # ru_maxrss is in bytes on macOS and in KiB on Linux and the BSDs.
+    return rss if sys.platform == "darwin" else rss * 1024
 
 
 class LiveDashboard:

@@ -23,12 +23,16 @@ import time
 from dataclasses import asdict, is_dataclass
 from typing import Any, Dict, Mapping
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 """Bumped whenever an existing event type changes shape.
 
 v2: ``schema_version`` moved into the envelope of *every* event (it was a
 ``run_start`` payload field in v1), and the monitor/span/alloc event types
 below were added.
+
+v3: the training metric families are derived from events, so ``epoch``
+carries ``seconds`` and ``num_batches`` in every mode (``num_shards`` is
+gone) and ``snapshot_event`` carries ``seconds``.
 """
 
 EVENT_TYPES = (

@@ -4,11 +4,11 @@ The run records in :mod:`repro.obs.recorder` are *post-hoc* artefacts — a
 training run is only inspectable after its ``.jsonl`` closes.  This module
 is the *online* half of the observability layer: always-on process-wide
 counters (``repro_train_epochs_total``), gauges (``repro_train_loss``) and
-latency histograms (``repro_epoch_seconds``) that live code — the training
-loop, the CSR layout cache, the resilience runtime, and the serving layer
-planned in ROADMAP item 1 — updates as it goes, and that any in-process
-consumer (the ``run-ses --live`` dashboard, a future ``/metrics`` HTTP
-endpoint) can read at any moment.
+latency histograms (``repro_epoch_seconds``) that live code — the CSR
+layout cache, the parallel and serving layers, and the training loop
+through the events it records (:data:`TRAINING_FAMILIES`) — updates as it
+goes, and that any in-process consumer (the ``run-ses --live`` dashboard,
+the serving ``/metrics`` endpoint) can read at any moment.
 
 Design choices, in decreasing order of importance:
 
@@ -41,16 +41,21 @@ import os
 import re
 import threading
 import time
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+)
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "TRAINING_FAMILIES",
+    "TrainingFamily",
     "default_registry",
     "exponential_buckets",
     "metrics_enabled",
+    "observe_event",
     "parse_exposition",
 ]
 
@@ -138,12 +143,6 @@ class _Metric:
     def labels_seen(self) -> List[LabelKey]:
         return sorted(self._children)  # type: ignore[attr-defined]
 
-    def _notify(self, labels: LabelKey, value: float) -> None:
-        registry = self._registry
-        if registry._subscribers:
-            for callback in tuple(registry._subscribers):
-                callback(self.kind, self.name, labels, value)
-
 
 class Counter(_Metric):
     """Monotonically increasing count (events, bytes, cache hits)."""
@@ -160,9 +159,7 @@ class Counter(_Metric):
         if amount < 0:
             raise ValueError(f"counter {self.name} cannot decrease (inc {amount})")
         key = _label_key(labels)
-        value = self._children.get(key, 0.0) + amount
-        self._children[key] = value
-        self._notify(key, value)
+        self._children[key] = self._children.get(key, 0.0) + amount
 
     def value(self, **labels: str) -> float:
         return self._children.get(_label_key(labels), 0.0)
@@ -184,17 +181,13 @@ class Gauge(_Metric):
     def set(self, value: float, **labels: str) -> None:
         if not self._registry.enabled:
             return
-        key = _label_key(labels)
-        self._children[key] = float(value)
-        self._notify(key, float(value))
+        self._children[_label_key(labels)] = float(value)
 
     def inc(self, amount: float = 1.0, **labels: str) -> None:
         if not self._registry.enabled:
             return
         key = _label_key(labels)
-        value = self._children.get(key, 0.0) + amount
-        self._children[key] = value
-        self._notify(key, value)
+        self._children[key] = self._children.get(key, 0.0) + amount
 
     def dec(self, amount: float = 1.0, **labels: str) -> None:
         self.inc(-amount, **labels)
@@ -271,7 +264,6 @@ class Histogram(_Metric):
             child.min = value
         if value > child.max:
             child.max = value
-        self._notify(key, value)
 
     def time(self, **labels: str):
         """Context manager observing the elapsed seconds of its block."""
@@ -354,7 +346,6 @@ class MetricsRegistry:
 
     def __init__(self, enabled: Optional[bool] = None) -> None:
         self._metrics: Dict[str, _Metric] = {}
-        self._subscribers: List[Callable[[str, str, LabelKey, float], None]] = []
         self._lock = threading.Lock()
         self.enabled = metrics_enabled() if enabled is None else bool(enabled)
 
@@ -406,25 +397,6 @@ class MetricsRegistry:
         """
         for metric in self._metrics.values():
             metric._children.clear()  # type: ignore[attr-defined]
-
-    # ------------------------------------------------------------------
-    # Subscription (the live-dashboard hook)
-    # ------------------------------------------------------------------
-    def subscribe(self, callback: Callable[[str, str, LabelKey, float], None]) -> None:
-        """Call ``callback(kind, name, labels, value)`` on every update.
-
-        Subscribers make every metric update a function call — attach them
-        only around interactive runs (the ``--live`` dashboard), never
-        unconditionally.
-        """
-        if callback not in self._subscribers:
-            self._subscribers.append(callback)
-
-    def unsubscribe(self, callback: Callable[[str, str, LabelKey, float], None]) -> None:
-        try:
-            self._subscribers.remove(callback)
-        except ValueError:
-            pass
 
     # ------------------------------------------------------------------
     # Export
@@ -523,12 +495,105 @@ def parse_exposition(text: str) -> Dict[Tuple[str, LabelKey], float]:
     return samples
 
 
+class TrainingFamily(NamedTuple):
+    """One row of :data:`TRAINING_FAMILIES`."""
+
+    event: str
+    kind: str
+    name: str
+    help: str
+    reads: str
+    """The payload field the update needs; an event without it skips the row."""
+    update: Callable[[Any, Mapping[str, Any]], None]
+
+
+def _set_finite_loss(gauge: Gauge, event: Mapping[str, Any]) -> None:
+    if math.isfinite(event["loss"]):
+        gauge.set(event["loss"], phase=event["phase"])
+
+
+TRAINING_FAMILIES: Tuple[TrainingFamily, ...] = (
+    TrainingFamily(
+        "epoch", "counter", "repro_train_epochs_total",
+        "Completed training epochs by phase",
+        "phase", lambda m, e: m.inc(phase=e["phase"]),
+    ),
+    TrainingFamily(
+        "epoch", "counter", "repro_train_batches_total",
+        "Processed minibatches by phase",
+        "num_batches", lambda m, e: m.inc(e["num_batches"], phase=e["phase"]),
+    ),
+    TrainingFamily(
+        "epoch", "histogram", "repro_epoch_seconds",
+        "Wall-clock seconds per completed training epoch",
+        "seconds", lambda m, e: m.observe(e["seconds"], phase=e["phase"]),
+    ),
+    TrainingFamily(
+        "epoch", "gauge", "repro_train_loss",
+        "Most recent epoch loss by phase",
+        "loss", _set_finite_loss,
+    ),
+    TrainingFamily(
+        "epoch", "gauge", "repro_train_epoch",
+        "Completed-epoch counter of the current run by phase",
+        "epoch", lambda m, e: m.set(e["epoch"] + 1, phase=e["phase"]),
+    ),
+    TrainingFamily(
+        "snapshot_event", "histogram", "repro_snapshot_write_seconds",
+        "Wall-clock seconds spent writing one checkpoint snapshot to disk",
+        "seconds", lambda m, e: m.observe(e["seconds"], phase=e["phase"]),
+    ),
+    TrainingFamily(
+        "recovery_event", "counter", "repro_recovery_events_total",
+        "Recovery-policy decisions (rollback/degrade/abort) by action",
+        "action", lambda m, e: m.inc(action=e["action"], phase=e["phase"]),
+    ),
+)
+"""The training families and the recorder event each is derived from.
+
+Nothing updates these families directly: :func:`observe_event` (called by
+every recorder's ``emit``, the disabled one included) applies the rows
+matching an event to its payload, so the registry counts exactly the
+epochs, snapshot writes and recovery decisions the run record holds.
+"""
+
+_FAMILIES_BY_EVENT: Dict[str, Tuple[TrainingFamily, ...]] = {
+    event: tuple(row for row in TRAINING_FAMILIES if row.event == event)
+    for event in {row.event for row in TRAINING_FAMILIES}
+}
+
+
+def _family(registry: MetricsRegistry, row: TrainingFamily) -> _Metric:
+    return getattr(registry, row.kind)(row.name, row.help)
+
+
+def observe_event(
+    event: str, payload: Mapping[str, Any], registry: Optional[MetricsRegistry] = None
+) -> None:
+    """Fold one recorder event into the training families it feeds."""
+    rows = _FAMILIES_BY_EVENT.get(event)
+    if rows is None:
+        return
+    registry = registry if registry is not None else default_registry()
+    if not registry.enabled:
+        return
+    for row in rows:
+        if row.reads in payload:
+            row.update(_family(registry, row), payload)
+
+
 _DEFAULT_REGISTRY: Optional[MetricsRegistry] = None
 
 
 def default_registry() -> MetricsRegistry:
-    """The process-wide registry every repro subsystem reports into."""
+    """The process-wide registry every repro subsystem reports into.
+
+    The training families are registered on creation, so they are exposed
+    (empty) before the first epoch.
+    """
     global _DEFAULT_REGISTRY
     if _DEFAULT_REGISTRY is None:
         _DEFAULT_REGISTRY = MetricsRegistry()
+        for row in TRAINING_FAMILIES:
+            _family(_DEFAULT_REGISTRY, row)
     return _DEFAULT_REGISTRY

@@ -8,35 +8,31 @@ failure modes into structured telemetry events (:mod:`repro.obs.events`):
 * :class:`Welford` — a streaming (single-pass, constant-memory) accumulator
   for count / mean / variance / norm / fraction-zero over arbitrarily many
   arrays, using the numerically-stable Welford/Chan merge.
-* :class:`GradStatsMonitor` / :class:`ParamStatsMonitor` /
-  :class:`ActivationStatsMonitor` — per-epoch gradient, parameter and
-  activation statistics (``grad_stats`` / ``param_stats`` /
-  ``activation_stats`` events).
-* :class:`MaskHealthMonitor` — SES-specific: saturation and Bernoulli
-  entropy of the feature/structure masks (``mask_health``), the symptoms of
+* :func:`grad_stats` / :func:`param_stats` / :func:`activation_stats` —
+  gradient, parameter and activation statistics (``grad_stats`` /
+  ``param_stats`` / ``activation_stats`` payloads).
+* :func:`mask_health` — SES-specific: saturation and Bernoulli entropy of
+  the feature/structure masks (``mask_health``), the symptoms of
   GNNExplainer-style mask collapse.
-* :class:`TripletMarginMonitor` — phase-2 triplet-pair margin distribution
+* :func:`triplet_margin` — phase-2 triplet-pair margin distribution
   (``triplet_margin``): how many anchor pairs still violate the margin.
 * :class:`NaNWatchdog` — hooks ``Tensor._make`` (the same choke point
   :class:`~repro.obs.profiler.OpProfiler` uses) and every recorded backward
   closure; the first NaN/Inf produces a ``numerical_event`` naming the
   offending op, direction, phase and epoch — or raises
   :class:`NumericalAnomalyError` in ``action="raise"`` mode.
-* :class:`MonitorSet` — the composition the trainer talks to: one object,
-  any subset of monitors, dispatched behind a single truthiness check so a
-  disabled set costs one branch per call site and nothing else.
 
-Everything here is opt-in behind the ``--telemetry`` / ``REPRO_TELEMETRY``
-surface (see :func:`default_monitors`); with telemetry off the trainer holds
-a falsy :class:`MonitorSet` and never computes a statistic.
+The five payload functions are pure: each returns the event payload (or
+``None`` when there is nothing to report) and the caller emits it.  The
+trainer computes them, and activates its watchdog, only when its recorder
+is enabled (``--telemetry`` / ``REPRO_TELEMETRY``); with telemetry off no
+statistic is ever computed.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from contextlib import contextmanager
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -157,136 +153,63 @@ class Welford:
 
 
 # ----------------------------------------------------------------------
-# Monitors
+# Health-event payloads
 # ----------------------------------------------------------------------
-class Monitor:
-    """Base monitor: every hook is a no-op; subclasses implement a subset.
+def grad_stats(named_params: Iterable[Tuple[str, Tensor]]) -> Optional[Dict[str, Any]]:
+    """``grad_stats`` payload: every parameter gradient in one Welford pass.
 
-    ``every`` subsamples epochs (``epoch % every == 0`` fires) so expensive
-    statistics can run sparsely on long runs without changing call sites.
+    Global norm, mean/std, fraction of exactly-zero entries, and the
+    parameter with the largest gradient norm — the usual first suspect
+    when a phase explodes.  ``None`` when no parameter has a gradient.
     """
-
-    def __init__(self, every: int = 1) -> None:
-        if every < 1:
-            raise ValueError("every must be >= 1")
-        self.every = every
-
-    def _due(self, epoch: int) -> bool:
-        return epoch % self.every == 0
-
-    def after_backward(
-        self,
-        recorder,
-        phase: str,
-        epoch: int,
-        named_params: Sequence[Tuple[str, Tensor]],
-    ) -> None:
-        pass
-
-    def observe_activations(
-        self, recorder, phase: str, epoch: int, activations: Mapping[str, np.ndarray]
-    ) -> None:
-        pass
-
-    def observe_masks(
-        self, recorder, phase: str, epoch: int, masks: Mapping[str, np.ndarray]
-    ) -> None:
-        pass
-
-    def observe_triplet(
-        self,
-        recorder,
-        phase: str,
-        epoch: int,
-        pos_dist: np.ndarray,
-        neg_dist: np.ndarray,
-        margin: float,
-    ) -> None:
-        pass
+    stats = Welford()
+    worst_name, worst_norm = None, -1.0
+    missing = 0
+    for name, param in named_params:
+        grad = param.grad
+        if grad is None:
+            missing += 1
+            continue
+        stats.update(grad)
+        norm = float(np.linalg.norm(grad))
+        if norm > worst_norm:
+            worst_name, worst_norm = name, norm
+    if stats.count == 0:
+        return None
+    return {
+        "global_norm": stats.norm,
+        "max_abs": stats.max_abs,
+        "worst_param": worst_name,
+        "worst_param_norm": worst_norm,
+        "missing_grads": missing,
+        **{k: v for k, v in stats.summary().items() if k != "norm"},
+    }
 
 
-class GradStatsMonitor(Monitor):
-    """Per-epoch gradient statistics → one ``grad_stats`` event.
-
-    Aggregates every parameter gradient through one :class:`Welford` pass
-    (global norm, mean/std, fraction of exactly-zero entries) and names the
-    parameter with the largest gradient norm — the usual first suspect when
-    a phase explodes.
-    """
-
-    def after_backward(self, recorder, phase, epoch, named_params) -> None:
-        if not self._due(epoch):
-            return
-        stats = Welford()
-        worst_name, worst_norm = None, -1.0
-        missing = 0
-        for name, param in named_params:
-            grad = param.grad
-            if grad is None:
-                missing += 1
-                continue
-            stats.update(grad)
-            norm = float(np.linalg.norm(grad))
-            if norm > worst_norm:
-                worst_name, worst_norm = name, norm
-        if stats.count == 0:
-            return
-        recorder.emit(
-            "grad_stats",
-            phase=phase,
-            epoch=epoch,
-            global_norm=stats.norm,
-            max_abs=stats.max_abs,
-            worst_param=worst_name,
-            worst_param_norm=worst_norm,
-            missing_grads=missing,
-            **{k: v for k, v in stats.summary().items() if k != "norm"},
-        )
+def param_stats(named_params: Iterable[Tuple[str, Tensor]]) -> Optional[Dict[str, Any]]:
+    """``param_stats`` payload: parameter-value statistics (``None`` if empty)."""
+    stats = Welford()
+    for _, param in named_params:
+        stats.update(param.data)
+    if stats.count == 0:
+        return None
+    return {
+        "global_norm": stats.norm,
+        "max_abs": stats.max_abs,
+        **{k: v for k, v in stats.summary().items() if k != "norm"},
+    }
 
 
-class ParamStatsMonitor(Monitor):
-    """Per-epoch parameter-value statistics → one ``param_stats`` event."""
-
-    def after_backward(self, recorder, phase, epoch, named_params) -> None:
-        if not self._due(epoch):
-            return
-        stats = Welford()
-        for _, param in named_params:
-            stats.update(param.data)
-        if stats.count == 0:
-            return
-        recorder.emit(
-            "param_stats",
-            phase=phase,
-            epoch=epoch,
-            global_norm=stats.norm,
-            max_abs=stats.max_abs,
-            **{k: v for k, v in stats.summary().items() if k != "norm"},
-        )
+def activation_stats(values: np.ndarray) -> Optional[Dict[str, Any]]:
+    """``activation_stats`` payload for one named activation (``None`` if empty)."""
+    stats = Welford().update(values)
+    if stats.count == 0:
+        return None
+    return {"max_abs": stats.max_abs, **stats.summary()}
 
 
-class ActivationStatsMonitor(Monitor):
-    """Named-activation statistics → one ``activation_stats`` event each."""
-
-    def observe_activations(self, recorder, phase, epoch, activations) -> None:
-        if not self._due(epoch):
-            return
-        for name, values in activations.items():
-            stats = Welford().update(values)
-            if stats.count == 0:
-                continue
-            recorder.emit(
-                "activation_stats",
-                phase=phase,
-                epoch=epoch,
-                tensor=name,
-                max_abs=stats.max_abs,
-                **stats.summary(),
-            )
-
-
-class MaskHealthMonitor(Monitor):
-    """Mask saturation / entropy → one ``mask_health`` event per mask.
+def mask_health(values: np.ndarray, tol: float = 0.05) -> Optional[Dict[str, Any]]:
+    """``mask_health`` payload: saturation and entropy of one mask.
 
     A healthy mask distribution keeps gradient flowing through the sigmoid
     scorer; the two collapse modes are both visible here:
@@ -297,65 +220,49 @@ class MaskHealthMonitor(Monitor):
     * ``entropy`` — mean Bernoulli entropy of the mask entries, in nats.
       Near-zero entropy with high accuracy is a converged, confident mask;
       near-zero entropy in the first epochs is premature collapse.
+
+    ``None`` for an empty mask.
     """
-
-    def __init__(self, every: int = 1, tol: float = 0.05) -> None:
-        super().__init__(every)
-        self.tol = tol
-
-    def observe_masks(self, recorder, phase, epoch, masks) -> None:
-        if not self._due(epoch):
-            return
-        for name, values in masks.items():
-            values = np.asarray(values, dtype=np.float64).ravel()
-            if values.size == 0:
-                continue
-            clipped = np.clip(values, 1e-12, 1.0 - 1e-12)
-            entropy = float(
-                -(clipped * np.log(clipped) + (1 - clipped) * np.log(1 - clipped)).mean()
-            )
-            recorder.emit(
-                "mask_health",
-                phase=phase,
-                epoch=epoch,
-                mask=name,
-                mean=float(values.mean()),
-                entropy=entropy,
-                saturated_low=float(np.mean(values <= self.tol)),
-                saturated_high=float(np.mean(values >= 1.0 - self.tol)),
-            )
+    values = np.asarray(values, dtype=np.float64).ravel()
+    if values.size == 0:
+        return None
+    clipped = np.clip(values, 1e-12, 1.0 - 1e-12)
+    entropy = float(
+        -(clipped * np.log(clipped) + (1 - clipped) * np.log(1 - clipped)).mean()
+    )
+    return {
+        "mean": float(values.mean()),
+        "entropy": entropy,
+        "saturated_low": float(np.mean(values <= tol)),
+        "saturated_high": float(np.mean(values >= 1.0 - tol)),
+    }
 
 
-class TripletMarginMonitor(Monitor):
-    """Triplet-pair margin distribution → one ``triplet_margin`` event.
+def triplet_margin(
+    pos_dist: np.ndarray, neg_dist: np.ndarray, margin: float
+) -> Optional[Dict[str, Any]]:
+    """``triplet_margin`` payload: the phase-2 triplet-pair margin distribution.
 
     ``margin_i = d(anchor_i, neg_i) − d(anchor_i, pos_i)``; pairs with
     ``margin_i < margin`` still contribute hinge loss (Eq. 12).  A
     ``frac_violating`` stuck at 1.0 means the representation never
     separated the Algorithm-1 sets; 0.0 means the triplet term has gone
-    silent and phase 2 is pure cross-entropy.
+    silent and phase 2 is pure cross-entropy.  ``None`` without pairs.
     """
-
-    def observe_triplet(self, recorder, phase, epoch, pos_dist, neg_dist, margin) -> None:
-        if not self._due(epoch):
-            return
-        pos = np.asarray(pos_dist, dtype=np.float64).ravel()
-        neg = np.asarray(neg_dist, dtype=np.float64).ravel()
-        if pos.size == 0:
-            return
-        margins = neg - pos
-        recorder.emit(
-            "triplet_margin",
-            phase=phase,
-            epoch=epoch,
-            margin=float(margin),
-            num_pairs=int(margins.size),
-            mean_margin=float(margins.mean()),
-            min_margin=float(margins.min()),
-            frac_violating=float(np.mean(margins < margin)),
-            pos_dist_mean=float(pos.mean()),
-            neg_dist_mean=float(neg.mean()),
-        )
+    pos = np.asarray(pos_dist, dtype=np.float64).ravel()
+    neg = np.asarray(neg_dist, dtype=np.float64).ravel()
+    if pos.size == 0:
+        return None
+    margins = neg - pos
+    return {
+        "margin": float(margin),
+        "num_pairs": int(margins.size),
+        "mean_margin": float(margins.mean()),
+        "min_margin": float(margins.min()),
+        "frac_violating": float(np.mean(margins < margin)),
+        "pos_dist_mean": float(pos.mean()),
+        "neg_dist_mean": float(neg.mean()),
+    }
 
 
 # ----------------------------------------------------------------------
@@ -465,131 +372,3 @@ class NaNWatchdog:
         self.context = dict(state.get("context", {"phase": None, "epoch": None}))
         self.anomalies = [dict(a) for a in state.get("anomalies", [])]
         self.suppressed = int(state.get("suppressed", 0))
-
-
-# ----------------------------------------------------------------------
-# Composition
-# ----------------------------------------------------------------------
-class MonitorSet:
-    """The monitor composition a trainer holds: dispatches every hook.
-
-    Falsy when it would do nothing (no recorder, or no monitors and no
-    watchdog), so call sites guard with ``if self.monitors:`` and pay one
-    branch per epoch when disabled.
-    """
-
-    def __init__(
-        self,
-        recorder=None,
-        monitors: Iterable[Monitor] = (),
-        watchdog: Optional[NaNWatchdog] = None,
-    ) -> None:
-        self.recorder = recorder if recorder is not None else NullRecorder()
-        self.monitors: List[Monitor] = list(monitors)
-        self.watchdog = watchdog
-
-    @property
-    def enabled(self) -> bool:
-        return bool(getattr(self.recorder, "enabled", False)) and bool(
-            self.monitors or self.watchdog
-        )
-
-    def __bool__(self) -> bool:
-        return self.enabled
-
-    # -- context -------------------------------------------------------
-    def set_context(self, phase: Optional[str] = None, epoch: Optional[int] = None) -> None:
-        """Tell the watchdog where training currently is."""
-        if self.watchdog is not None:
-            if phase is not None:
-                self.watchdog.context["phase"] = phase
-            self.watchdog.context["epoch"] = epoch
-
-    @contextmanager
-    def watch(self, phase: str) -> Iterator[None]:
-        """Activate the NaN/Inf watchdog (if any) for a training phase."""
-        self.set_context(phase=phase, epoch=None)
-        if self.enabled and self.watchdog is not None:
-            with self.watchdog:
-                yield
-        else:
-            yield
-
-    # -- dispatch ------------------------------------------------------
-    def after_backward(self, phase: str, epoch: int, named_params) -> None:
-        if not self.enabled:
-            return
-        named = list(named_params)
-        for monitor in self.monitors:
-            monitor.after_backward(self.recorder, phase, epoch, named)
-
-    def observe_activations(self, phase: str, epoch: int, **activations) -> None:
-        if not self.enabled:
-            return
-        for monitor in self.monitors:
-            monitor.observe_activations(self.recorder, phase, epoch, activations)
-
-    def observe_masks(self, phase: str, epoch: int, **masks) -> None:
-        if not self.enabled:
-            return
-        for monitor in self.monitors:
-            monitor.observe_masks(self.recorder, phase, epoch, masks)
-
-    def observe_triplet(
-        self, phase: str, epoch: int, pos_dist, neg_dist, margin: float
-    ) -> None:
-        if not self.enabled:
-            return
-        for monitor in self.monitors:
-            monitor.observe_triplet(self.recorder, phase, epoch, pos_dist, neg_dist, margin)
-
-    # -- checkpoint/resume ---------------------------------------------
-    def state_dict(self) -> Dict[str, Any]:
-        """Stateful-accumulator snapshot (currently: the NaN watchdog's).
-
-        The statistical monitors are per-epoch emitters with no carried
-        state; the watchdog's anomaly log is what a resumed run needs so a
-        rollback does not double-count or forget prior anomalies.
-        """
-        state: Dict[str, Any] = {}
-        if self.watchdog is not None:
-            state["watchdog"] = self.watchdog.state_dict()
-        return state
-
-    def load_state_dict(self, state: Mapping[str, Any]) -> None:
-        if self.watchdog is not None and "watchdog" in state:
-            self.watchdog.load_state_dict(state["watchdog"])
-
-
-def monitors_enabled() -> bool:
-    """Whether default monitors ride along with telemetry.
-
-    Monitors piggyback on the ``--telemetry`` / ``REPRO_TELEMETRY`` opt-in;
-    ``REPRO_MONITORS=0`` turns them off independently (telemetry keeps
-    recording epochs/phases, just without health statistics), and
-    ``REPRO_MONITORS`` has no effect while telemetry itself is off.
-    """
-    return os.environ.get("REPRO_MONITORS", "1").lower() not in ("0", "false", "no")
-
-
-def default_monitors(recorder) -> MonitorSet:
-    """The standard health-monitor set for a trainer's recorder.
-
-    Returns a falsy (do-nothing) :class:`MonitorSet` unless ``recorder`` is
-    an enabled :class:`~repro.obs.recorder.RunRecorder` and
-    :func:`monitors_enabled` — so with telemetry off the trainer's monitor
-    calls reduce to a single attribute check.
-    """
-    if not getattr(recorder, "enabled", False) or not monitors_enabled():
-        return MonitorSet()
-    return MonitorSet(
-        recorder,
-        monitors=[
-            GradStatsMonitor(),
-            ParamStatsMonitor(),
-            ActivationStatsMonitor(),
-            MaskHealthMonitor(),
-            TripletMarginMonitor(),
-        ],
-        watchdog=NaNWatchdog(recorder),
-    )

@@ -9,8 +9,11 @@ so the Tables 6–8 harnesses and the telemetry layer read the *same*
 timing path rather than racing two clocks.
 
 :class:`NullRecorder` is the disabled twin: identical surface, no file,
-no event objects — call sites stay unconditional (`recorder.epoch(...)`)
-and cost nothing when telemetry is off.
+no event objects — call sites stay unconditional (`recorder.epoch(...)`).
+Both feed the training metric families from the events they are handed
+(:data:`~repro.obs.metrics.TRAINING_FAMILIES`), so the always-on registry
+and the run record count the same epochs, snapshot writes and recovery
+decisions.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from typing import Any, Dict, Iterator, List, Optional, Union
 
 from ..utils.timing import Stopwatch
 from .events import config_hash, jsonable, make_event
+from .metrics import observe_event
 from .profiler import OpProfiler
 
 DEFAULT_RUNS_DIR = os.path.join("results", "runs")
@@ -58,11 +62,13 @@ def default_recorder(name: str) -> "NullRecorder":
 
 
 class NullRecorder:
-    """No-op stand-in used when telemetry is disabled.
+    """Stand-in used when telemetry is disabled.
 
-    Every :class:`RunRecorder` method exists here as a cheap no-op; the
-    :meth:`phase` context manager still feeds the caller's stopwatch so
-    the single timing path keeps working with telemetry off.
+    Every :class:`RunRecorder` method exists here.  :meth:`emit` writes
+    nothing but still folds training events into the metrics registry;
+    the rest are cheap no-ops, and the :meth:`phase` context manager still
+    feeds the caller's stopwatch so the single timing path keeps working
+    with telemetry off.
     """
 
     path: Optional[str] = None
@@ -73,7 +79,8 @@ class NullRecorder:
     are always safe to call."""
 
     def emit(self, event: str, **payload: Any) -> None:
-        pass
+        """Feed the training metric families (the only effect when disabled)."""
+        observe_event(event, payload)
 
     def add_listener(self, listener) -> None:
         pass
@@ -85,7 +92,8 @@ class NullRecorder:
         pass
 
     def epoch(self, phase: str, epoch: int, loss: float, **payload: Any) -> None:
-        pass
+        """Per-epoch training state (loss, seconds, batches, val accuracy...)."""
+        self.emit("epoch", phase=phase, epoch=epoch, loss=float(loss), **payload)
 
     def pairs(self, **payload: Any) -> None:
         pass
@@ -179,6 +187,7 @@ class RunRecorder(NullRecorder):
     def emit(self, event: str, **payload: Any) -> None:
         """Append one event (envelope added, payload JSON-coerced)."""
         record = make_event(event, self._seq, **payload)
+        super().emit(event, **payload)
         self._seq += 1
         self.events.append(record)
         self._handle.write(json.dumps(record) + "\n")
@@ -224,10 +233,6 @@ class RunRecorder(NullRecorder):
             fields["dataset"] = dataset
         fields.update(payload)
         self.emit("run_start", **fields)
-
-    def epoch(self, phase: str, epoch: int, loss: float, **payload: Any) -> None:
-        """Per-epoch training state (loss, val accuracy, mask sparsity...)."""
-        self.emit("epoch", phase=phase, epoch=epoch, loss=float(loss), **payload)
 
     def pairs(self, **payload: Any) -> None:
         """Algorithm-1 pair-construction summary (anchor/pos/neg counts)."""

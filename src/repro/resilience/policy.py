@@ -22,8 +22,9 @@ The policy implemented here is the classical spike-recovery loop:
    frozen-mask predictive learning only), ``"raise"`` aborts with
    :class:`TrainingDivergedError`.
 
-Every decision is emitted as a ``recovery_event`` in the run record, so a
-recovered run documents exactly where and how it healed.
+Every decision is emitted as a ``recovery_event`` — the one report of it:
+the run record shows exactly where and how a recovered run healed, and
+``repro_recovery_events_total`` is derived from the same event.
 """
 
 from __future__ import annotations
@@ -185,12 +186,6 @@ class RecoveryManager:
         return float(optimizer.lr)
 
     def _emit(self, action: str, trainer, phase: str, epoch: int, reason: str, **extra) -> None:
-        from ..obs.metrics import default_registry
-
-        default_registry().counter(
-            "repro_recovery_events_total",
-            "Recovery-policy decisions (rollback/degrade/abort) by action",
-        ).inc(action=action, phase=phase)
         self.recorder.emit(
             "recovery_event",
             action=action,

@@ -12,7 +12,7 @@ piece of mutable state the two-phase schedule threads between epochs:
   resampling and Algorithm-1 sampling all draw from one stream);
 * phase/epoch counters, the training history, the accumulated edge
   sensitivity, frozen masks, negative sets and Algorithm-1 pair sets;
-* NaN-watchdog / monitor accumulators;
+* the NaN watchdog's anomaly log;
 * the training graph (:func:`repro.graph.pack_graph`'s arrays) and the
   k-hop edge list, so a snapshot is self-contained: serving reads it with
   no dataset generator and no trainer.
@@ -246,9 +246,7 @@ def capture_training_snapshot(trainer) -> TrainingSnapshot:
         arrays[f"msnap/{int(epoch)}/feature"] = feature.copy()
         arrays[f"msnap/{int(epoch)}/structure"] = structure.copy()
 
-    monitors = getattr(trainer, "monitors", None)
-    if monitors is not None and hasattr(monitors, "state_dict"):
-        manifest["monitor"] = monitors.state_dict()
+    manifest["monitor"] = {"watchdog": trainer.watchdog.state_dict()}
 
     return TrainingSnapshot(manifest=manifest, arrays=arrays)
 
@@ -387,9 +385,11 @@ def restore_training_snapshot(
         )
     trainer.history = history
 
-    monitors = getattr(trainer, "monitors", None)
-    if "monitor" in manifest and monitors is not None and hasattr(monitors, "load_state_dict"):
-        monitors.load_state_dict(manifest["monitor"])
+    # A snapshot written by a trainer without a watchdog carries an empty
+    # ``monitor`` record.
+    watchdog_state = manifest.get("monitor", {}).get("watchdog")
+    if watchdog_state is not None:
+        trainer.watchdog.load_state_dict(watchdog_state)
 
 
 # ----------------------------------------------------------------------

@@ -120,3 +120,30 @@ class TestLiveDashboard:
         recorder.epoch("explainable", 1, 0.9)
         assert dash.renders == 1  # detached: no further renders
         dash.close()  # idempotent
+
+
+class TestPeakRss:
+    """``ru_maxrss`` is bytes on macOS and KiB elsewhere."""
+
+    @staticmethod
+    def _fake_rusage(monkeypatch, maxrss):
+        import resource
+        import types
+
+        monkeypatch.setattr(
+            resource, "getrusage", lambda who: types.SimpleNamespace(ru_maxrss=maxrss)
+        )
+
+    def test_macos_reports_bytes(self, monkeypatch):
+        from repro.obs import dashboard
+
+        self._fake_rusage(monkeypatch, 400 * 2**20)  # a 400 MiB process
+        monkeypatch.setattr(dashboard.sys, "platform", "darwin")
+        assert dashboard._peak_rss_bytes() == 400 * 2**20
+
+    def test_linux_reports_kib(self, monkeypatch):
+        from repro.obs import dashboard
+
+        self._fake_rusage(monkeypatch, 400 * 2**10)
+        monkeypatch.setattr(dashboard.sys, "platform", "linux")
+        assert dashboard._peak_rss_bytes() == 400 * 2**20

@@ -13,9 +13,11 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
+    TRAINING_FAMILIES,
     default_registry,
     exponential_buckets,
     metrics_enabled,
+    observe_event,
     parse_exposition,
 )
 
@@ -222,15 +224,40 @@ class TestRegistry:
         assert series["counts"] == [1, 0]
         assert series["min"] == 0.5 and series["max"] == 0.5
 
-    def test_subscribers_see_updates(self):
+    def test_training_families_derive_from_events(self):
         reg = fresh_registry()
-        seen = []
-        reg.subscribe(lambda kind, name, labels, value: seen.append((kind, name, value)))
-        reg.counter("c_total").inc()
-        reg.gauge("g").set(2.0)
-        assert ("counter", "c_total", 1.0) in seen
-        assert ("gauge", "g", 2.0) in seen
-        reg.unsubscribe(seen.append)  # unknown callback: no-op
+        epoch = {"phase": "explainable", "epoch": 2, "loss": 0.5, "num_batches": 3,
+                 "seconds": 0.25}
+        observe_event("epoch", epoch, reg)
+        observe_event("epoch", {**epoch, "epoch": 3, "loss": math.nan}, reg)
+        observe_event("snapshot_event", {"phase": "explainable", "seconds": 0.1}, reg)
+        observe_event("recovery_event", {"action": "rollback", "phase": "explainable"}, reg)
+        observe_event("span", {"path": "explainable/epoch2"}, reg)  # feeds nothing
+        assert reg.get("repro_train_epochs_total").value(phase="explainable") == 2
+        assert reg.get("repro_train_batches_total").value(phase="explainable") == 6
+        assert reg.get("repro_epoch_seconds").count(phase="explainable") == 2
+        assert reg.get("repro_train_epoch").value(phase="explainable") == 4
+        assert reg.get("repro_train_loss").value(phase="explainable") == 0.5  # NaN skipped
+        assert reg.get("repro_snapshot_write_seconds").sum(phase="explainable") == 0.1
+        recoveries = reg.get("repro_recovery_events_total")
+        assert recoveries.value(action="rollback", phase="explainable") == 1
+        assert sorted(reg.names()) == sorted(f.name for f in TRAINING_FAMILIES)
+
+    def test_event_without_a_field_skips_its_rows(self):
+        reg = fresh_registry()
+        observe_event("epoch", {"phase": "predictive", "epoch": 0, "loss": 1.0}, reg)
+        assert reg.get("repro_train_epochs_total").value(phase="predictive") == 1
+        assert reg.get("repro_train_batches_total") is None
+        assert reg.get("repro_epoch_seconds") is None
+
+    def test_disabled_registry_ignores_events(self):
+        reg = MetricsRegistry(enabled=False)
+        observe_event("recovery_event", {"action": "abort", "phase": "predictive"}, reg)
+        assert reg.names() == []
+
+    def test_default_registry_exposes_training_families(self):
+        names = set(default_registry().names())
+        assert {f.name for f in TRAINING_FAMILIES} <= names
 
     def test_default_registry_is_a_singleton(self):
         assert default_registry() is default_registry()

@@ -1,4 +1,4 @@
-"""Training-health monitors: streaming stats, watchdog, MonitorSet gating."""
+"""Training-health monitors: streaming stats, payload functions, watchdog."""
 
 import io
 import json
@@ -8,18 +8,15 @@ import numpy as np
 import pytest
 
 from repro.obs import (
-    ActivationStatsMonitor,
-    GradStatsMonitor,
-    MaskHealthMonitor,
-    MonitorSet,
     NaNWatchdog,
     NumericalAnomalyError,
-    ParamStatsMonitor,
     RunRecorder,
-    TripletMarginMonitor,
     Welford,
-    default_monitors,
-    monitors_enabled,
+    activation_stats,
+    grad_stats,
+    mask_health,
+    param_stats,
+    triplet_margin,
 )
 from repro.tensor import Tensor
 
@@ -87,86 +84,55 @@ class TestWelford:
 
 class TestIndividualMonitors:
     def test_grad_stats_names_worst_param(self):
-        rec, buffer = _recorder()
         small = Tensor(np.array([0.1]), requires_grad=True)
         big = Tensor(np.array([5.0]), requires_grad=True)
         none = Tensor(np.array([1.0]), requires_grad=True)
         small.grad = np.array([0.1])
         big.grad = np.array([-9.0])
-        GradStatsMonitor().after_backward(
-            rec, "explainable", 3, [("enc.w", small), ("mask.w", big), ("frozen", none)]
-        )
-        (event,) = _events(buffer)
-        assert event["event"] == "grad_stats"
-        assert event["phase"] == "explainable" and event["epoch"] == 3
-        assert event["worst_param"] == "mask.w"
-        assert event["worst_param_norm"] == pytest.approx(9.0)
-        assert event["missing_grads"] == 1
-        assert event["global_norm"] == pytest.approx(np.sqrt(0.1**2 + 81.0))
-        assert event["max_abs"] == pytest.approx(9.0)
+        payload = grad_stats([("enc.w", small), ("mask.w", big), ("frozen", none)])
+        assert payload["worst_param"] == "mask.w"
+        assert payload["worst_param_norm"] == pytest.approx(9.0)
+        assert payload["missing_grads"] == 1
+        assert payload["global_norm"] == pytest.approx(np.sqrt(0.1**2 + 81.0))
+        assert payload["max_abs"] == pytest.approx(9.0)
 
     def test_grad_stats_silent_when_no_grads(self):
-        rec, buffer = _recorder()
         p = Tensor(np.array([1.0]), requires_grad=True)
-        GradStatsMonitor().after_backward(rec, "p", 0, [("w", p)])
-        assert _events(buffer) == []
+        assert grad_stats([("w", p)]) is None
 
     def test_param_stats_event(self):
-        rec, buffer = _recorder()
         p = Tensor(np.array([3.0, -4.0]), requires_grad=True)
-        ParamStatsMonitor().after_backward(rec, "predictive", 1, [("w", p)])
-        (event,) = _events(buffer)
-        assert event["event"] == "param_stats"
-        assert event["global_norm"] == pytest.approx(5.0)
+        payload = param_stats([("w", p)])
+        assert payload["global_norm"] == pytest.approx(5.0)
+        assert param_stats([]) is None
 
     def test_activation_stats_one_event_per_tensor(self):
-        rec, buffer = _recorder()
-        ActivationStatsMonitor().observe_activations(
-            rec, "explainable", 0, {"hidden": np.ones(4), "logits": np.zeros(2)}
-        )
-        events = _events(buffer)
-        assert [e["tensor"] for e in events] == ["hidden", "logits"]
-        assert events[1]["frac_zero"] == 1.0
+        hidden, logits = activation_stats(np.ones(4)), activation_stats(np.zeros(2))
+        assert hidden["count"] == 4 and hidden["frac_zero"] == 0.0
+        assert logits["frac_zero"] == 1.0
+        assert activation_stats(np.array([])) is None
 
     def test_mask_health_detects_saturation(self):
-        rec, buffer = _recorder()
         saturated = np.array([0.0, 0.01, 0.99, 1.0])
-        MaskHealthMonitor(tol=0.05).observe_masks(
-            rec, "explainable", 2, {"feature": saturated}
-        )
-        (event,) = _events(buffer)
-        assert event["mask"] == "feature"
-        assert event["saturated_low"] == 0.5 and event["saturated_high"] == 0.5
-        assert event["entropy"] < 0.1  # near-deterministic mask → low entropy
+        payload = mask_health(saturated, tol=0.05)
+        assert payload["saturated_low"] == 0.5 and payload["saturated_high"] == 0.5
+        assert payload["entropy"] < 0.1  # near-deterministic mask → low entropy
 
     def test_mask_health_entropy_peaks_at_half(self):
-        rec, buffer = _recorder()
-        MaskHealthMonitor().observe_masks(rec, "p", 0, {"m": np.full(8, 0.5)})
-        (event,) = _events(buffer)
-        assert event["entropy"] == pytest.approx(math.log(2))
-        assert event["saturated_low"] == 0.0 and event["saturated_high"] == 0.0
+        payload = mask_health(np.full(8, 0.5))
+        assert payload["entropy"] == pytest.approx(math.log(2))
+        assert payload["saturated_low"] == 0.0 and payload["saturated_high"] == 0.0
+        assert mask_health(np.array([])) is None
 
     def test_triplet_margin_counts_violations(self):
-        rec, buffer = _recorder()
         pos = np.array([1.0, 1.0, 1.0])
         neg = np.array([3.0, 1.2, 0.5])  # margins: 2.0, 0.2, -0.5
-        TripletMarginMonitor().observe_triplet(rec, "predictive", 4, pos, neg, 0.5)
-        (event,) = _events(buffer)
-        assert event["num_pairs"] == 3
-        assert event["frac_violating"] == pytest.approx(2 / 3)
-        assert event["min_margin"] == pytest.approx(-0.5)
-        assert event["mean_margin"] == pytest.approx((2.0 + 0.2 - 0.5) / 3)
-
-    def test_every_subsamples_epochs(self):
-        rec, buffer = _recorder()
-        monitor = MaskHealthMonitor(every=3)
-        for epoch in range(7):
-            monitor.observe_masks(rec, "p", epoch, {"m": np.full(2, 0.5)})
-        assert [e["epoch"] for e in _events(buffer)] == [0, 3, 6]
-
-    def test_every_must_be_positive(self):
-        with pytest.raises(ValueError):
-            MaskHealthMonitor(every=0)
+        payload = triplet_margin(pos, neg, 0.5)
+        assert payload["num_pairs"] == 3
+        assert payload["frac_violating"] == pytest.approx(2 / 3)
+        assert payload["min_margin"] == pytest.approx(-0.5)
+        assert payload["mean_margin"] == pytest.approx((2.0 + 0.2 - 0.5) / 3)
+        assert triplet_margin(np.array([]), np.array([]), 0.5) is None
 
 
 class TestNaNWatchdog:
@@ -253,78 +219,48 @@ class TestNaNWatchdog:
         assert prof.stats["__mul__"].forward_calls == 1  # profiler still counted
 
 
-class TestMonitorSet:
-    def test_empty_set_is_falsy(self):
-        assert not MonitorSet()
-        rec, _ = _recorder()
-        assert not MonitorSet(rec)  # recorder but nothing to dispatch
-
-    def test_set_with_monitor_and_live_recorder_is_truthy(self):
-        rec, _ = _recorder()
-        assert MonitorSet(rec, monitors=[MaskHealthMonitor()])
-        assert MonitorSet(rec, watchdog=NaNWatchdog(rec))
-
-    def test_disabled_set_dispatch_is_noop(self):
-        rec, buffer = _recorder()
-        monitors = MonitorSet(monitors=[MaskHealthMonitor()])  # NullRecorder
-        monitors.observe_masks("p", 0, m=np.full(2, 0.5))
-        monitors.after_backward("p", 0, [])
-        assert _events(buffer) == []
-
-    def test_dispatch_reaches_every_monitor(self):
-        rec, buffer = _recorder()
-        monitors = MonitorSet(
-            rec, monitors=[MaskHealthMonitor(), ActivationStatsMonitor()]
-        )
-        monitors.observe_masks("p", 0, m=np.full(2, 0.5))
-        monitors.observe_activations("p", 0, h=np.ones(3))
-        kinds = [e["event"] for e in _events(buffer)]
-        assert kinds == ["mask_health", "activation_stats"]
-
-    def test_watch_activates_watchdog_and_sets_phase(self):
-        rec, buffer = _recorder()
-        monitors = MonitorSet(rec, watchdog=NaNWatchdog(rec))
-        with monitors.watch("explainable"):
-            monitors.set_context(epoch=2)
-            Tensor(np.ones(2), requires_grad=True) * np.array([np.inf, 1.0])
-        (event,) = _events(buffer)
-        assert event["phase"] == "explainable" and event["epoch"] == 2
-
-    def test_watch_without_watchdog_is_passthrough(self):
-        rec, _ = _recorder()
-        before = Tensor.__dict__["_make"]
-        with MonitorSet(rec, monitors=[MaskHealthMonitor()]).watch("p"):
-            assert Tensor.__dict__["_make"] is before
-
-
 class TestDefaultMonitors:
-    def test_null_recorder_yields_falsy_set(self):
-        from repro.obs import NullRecorder
+    """The trainer's default health monitoring follows its recorder."""
 
-        assert not default_monitors(NullRecorder())
+    def test_null_recorder_yields_falsy_set(self, tiny_graph, monkeypatch):
+        """Telemetry off: no statistic is computed, the watchdog never runs."""
+        import repro.core.ses as ses
+        from repro.core import SESTrainer, fast_config
 
-    def test_live_recorder_yields_full_set(self):
-        rec, _ = _recorder()
-        monitors = default_monitors(rec)
-        assert monitors
-        kinds = {type(m).__name__ for m in monitors.monitors}
-        assert kinds == {
-            "GradStatsMonitor",
-            "ParamStatsMonitor",
-            "ActivationStatsMonitor",
-            "MaskHealthMonitor",
-            "TripletMarginMonitor",
-        }
-        assert isinstance(monitors.watchdog, NaNWatchdog)
+        def refuse(*args, **kwargs):
+            raise AssertionError("health statistic computed with telemetry off")
 
-    def test_repro_monitors_env_opt_out(self, monkeypatch):
-        rec, _ = _recorder()
-        monkeypatch.setenv("REPRO_MONITORS", "0")
-        assert not monitors_enabled()
-        assert not default_monitors(rec)
-        monkeypatch.setenv("REPRO_MONITORS", "1")
-        assert monitors_enabled()
-        assert default_monitors(rec)
+        for name in ("grad_stats", "param_stats", "activation_stats",
+                     "mask_health", "triplet_margin"):
+            monkeypatch.setattr(ses, name, refuse)
+        monkeypatch.setattr(NaNWatchdog, "__enter__", refuse)
+        monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
+        config = fast_config(explainable_epochs=2, predictive_epochs=1, hidden_features=8)
+        trainer = SESTrainer(tiny_graph, config)
+        trainer.fit()
+        assert not trainer.recorder.enabled
+
+    def test_live_recorder_yields_full_set(self, tiny_graph):
+        """Telemetry on: every health event kind, and a watchdog bound to
+        the recorder that reports where training was."""
+        from repro.core import SESTrainer, fast_config
+        from repro.resilience import FaultPlan
+
+        rec, buffer = _recorder()
+        config = fast_config(explainable_epochs=3, predictive_epochs=1, hidden_features=8)
+        trainer = SESTrainer(
+            tiny_graph, config, recorder=rec, faults=FaultPlan.parse("nan@explainable:1")
+        )
+        assert trainer.watchdog.recorder is rec
+        trainer.fit()
+        events = _events(buffer)
+        kinds = {e["event"] for e in events}
+        for required in ("grad_stats", "param_stats", "activation_stats",
+                         "mask_health", "triplet_margin"):
+            assert required in kinds, required
+        numerical = [e for e in events if e["event"] == "numerical_event"]
+        assert numerical, "the watchdog missed the injected NaN"
+        assert numerical[0]["phase"] == "explainable" and numerical[0]["epoch"] == 1
 
 
 class TestTrainerIntegration:
@@ -336,9 +272,7 @@ class TestTrainerIntegration:
         config = fast_config(
             explainable_epochs=3, predictive_epochs=2, hidden_features=8
         )
-        SESTrainer(
-            tiny_graph, config, recorder=rec, monitors=default_monitors(rec)
-        ).fit()
+        SESTrainer(tiny_graph, config, recorder=rec).fit()
         kinds = {e["event"] for e in _events(buffer)}
         for required in ("grad_stats", "param_stats", "activation_stats",
                         "mask_health", "triplet_margin", "span"):
@@ -356,8 +290,6 @@ class TestTrainerIntegration:
         plain = SESTrainer(tiny_graph, config).fit()
         buffer = io.StringIO()
         rec = RunRecorder(run_id="mon2", path=buffer)
-        monitored = SESTrainer(
-            tiny_graph, config, recorder=rec, monitors=default_monitors(rec)
-        ).fit()
+        monitored = SESTrainer(tiny_graph, config, recorder=rec).fit()
         assert plain.history.phase1_loss == monitored.history.phase1_loss
         assert plain.test_accuracy == monitored.test_accuracy

@@ -257,3 +257,23 @@ class TestMonitorState:
         w.update(8.0)
         clone.update(8.0)
         assert clone.state_dict() == w.state_dict()
+
+    def test_watchdog_log_round_trips(self, small_cora):
+        trainer = SESTrainer(small_cora, _config())
+        trainer.watchdog.anomalies.append({"op": "__mul__", "kind": "nan"})
+        trainer.watchdog.suppressed = 2
+        snapshot = trainer.snapshot()
+        assert snapshot.manifest["monitor"]["watchdog"]["suppressed"] == 2
+        fresh = SESTrainer(small_cora, _config())
+        fresh.restore(snapshot)
+        assert fresh.watchdog.anomalies == [{"op": "__mul__", "kind": "nan"}]
+        assert fresh.watchdog.suppressed == 2
+
+    def test_snapshot_without_a_watchdog_record_restores(self, small_cora):
+        # A trainer with telemetry off and no watchdog wrote ``monitor: {}``.
+        trainer = SESTrainer(small_cora, _config())
+        snapshot = trainer.snapshot()
+        snapshot.manifest["monitor"] = {}
+        fresh = SESTrainer(small_cora, _config())
+        fresh.restore(snapshot)
+        assert fresh.watchdog.anomalies == [] and fresh.watchdog.suppressed == 0

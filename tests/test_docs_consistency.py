@@ -84,6 +84,24 @@ class TestApiDocsCoverObs:
         for event in EVENT_TYPES:
             assert f"`{event}`" in text, f"event {event!r} missing from OBSERVABILITY.md"
 
+    def test_always_on_table_lists_the_training_families(self):
+        # Every row whose Source names an event ("`epoch` event: ...") is a
+        # training family; together they must be exactly the rows of
+        # repro.obs.TRAINING_FAMILIES, with the same kind and event.
+        from repro.obs import TRAINING_FAMILIES
+
+        text = (ROOT / "docs" / "OBSERVABILITY.md").read_text()
+        table = text[text.index("Always-on families wired through the codebase"):]
+        table = table[: table.index("\n\n", table.index("| Metric |"))]
+        documented = set(
+            re.findall(
+                r"^\| `(\w+)(?:\{[\w,]*\})?` \| (\w+) \| `(\w+)` event\b",
+                table,
+                flags=re.M,
+            )
+        )
+        assert documented == {(f.name, f.kind, f.event) for f in TRAINING_FAMILIES}
+
 
 class TestDesignIndex:
     def test_per_experiment_index_covers_all(self):
