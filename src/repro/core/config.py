@@ -109,6 +109,12 @@ class SESConfig:
         check_positive_int(self.k_hops, "k_hops")
         check_positive_int(self.explainable_epochs, "explainable_epochs")
         check_positive_int(self.predictive_epochs, "predictive_epochs")
+        check_positive_int(self.max_negatives_per_node, "max_negatives_per_node")
+        if int(self.max_khop_per_node) != self.max_khop_per_node or self.max_khop_per_node < 0:
+            raise ValueError(
+                "max_khop_per_node must be a non-negative integer (0 keeps all), "
+                f"got {self.max_khop_per_node}"
+            )
         if self.subgraph_target not in ("structure", "label"):
             raise ValueError("subgraph_target must be 'structure' or 'label'")
         if self.triplet_pooling not in ("mean", "sum"):

@@ -628,22 +628,22 @@ class SESTrainer:
         cap = self.config.max_khop_per_node
         if cap <= 0:
             return khop
-        base_keys = set(
-            (self.edge_index[0] * self.num_nodes + self.edge_index[1]).tolist()
-        )
-        keys = khop[0] * self.num_nodes + khop[1]
-        is_base = np.isin(keys, list(base_keys))
-        keep = is_base.copy()
+        base_keys = self.edge_index[0] * self.num_nodes + self.edge_index[1]
+        is_base = np.isin(khop[0] * self.num_nodes + khop[1], base_keys)
         order = self.rng.permutation(khop.shape[1])
-        counts = np.zeros(self.num_nodes, dtype=np.int64)
-        counts += np.bincount(khop[1][is_base], minlength=self.num_nodes)
-        for position in order:
-            if keep[position]:
-                continue
-            destination = khop[1][position]
-            if counts[destination] < cap:
-                keep[position] = True
-                counts[destination] += 1
+        # Each destination keeps, in permutation order, the first
+        # ``cap - base_count`` of its non-base edges: rank them within their
+        # destination with a stable sort.
+        candidates = order[~is_base[order]]
+        destinations = khop[1][candidates]
+        by_destination = np.argsort(destinations, kind="stable")
+        grouped = destinations[by_destination]
+        group_start = np.searchsorted(grouped, grouped, "left")
+        rank = np.arange(len(grouped)) - group_start
+        base_count = np.bincount(khop[1][is_base], minlength=self.num_nodes)
+        admitted = rank < cap - base_count[grouped]
+        keep = is_base.copy()
+        keep[candidates[by_destination[admitted]]] = True
         kept = khop[:, keep]
         # Keep the column ordering sorted so align_base_edges can bisect.
         sort = np.argsort(kept[0] * self.num_nodes + kept[1], kind="mergesort")

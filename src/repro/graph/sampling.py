@@ -63,6 +63,7 @@ def sample_negative_sets(
         # Only training labels may steer sampling — using test labels here
         # would leak supervision into the mask.
         labels = np.where(graph.train_mask, labels, -1)
+    label_of = labels.tolist() if labels is not None else None
     negatives: Dict[int, np.ndarray] = {}
     # Degree-MATCHED negatives: for every k-hop neighbour k of the anchor we
     # sample one non-neighbour k' of (approximately) the same degree.  This
@@ -72,67 +73,95 @@ def sample_negative_sets(
     # (motif nodes all have small degree).  Matching forces the scorer to
     # rely on signals that genuinely distinguish neighbours (shared context,
     # label agreement).
-    degrees = np.asarray(graph.adjacency.getnnz(axis=1), dtype=np.int64)
-    order_by_degree = np.argsort(degrees, kind="mergesort")
-    sorted_degrees = degrees[order_by_degree]
-
-    def degree_matched_candidates(target_degree: int, count: int) -> np.ndarray:
-        """Random nodes whose degree falls within ±50% of the target."""
-        low = np.searchsorted(sorted_degrees, max(0, int(target_degree * 0.5)), "left")
-        high = np.searchsorted(sorted_degrees, int(np.ceil(target_degree * 1.5)), "right")
-        if high - low < 4:  # widen degenerate bands (unique hub degrees)
-            low = max(0, low - 4)
-            high = min(num_nodes, high + 4)
-        positions = rng.integers(low, high, size=count)
-        return order_by_degree[positions]
+    #
+    # A neighbour of degree d draws positions in ``[low, high)`` of the
+    # degree-sorted node order: every node whose degree is within ±50% of d,
+    # widened by four places each side when fewer than four nodes qualify.
+    if degree_weighted:
+        degrees = np.asarray(graph.adjacency.getnnz(axis=1), dtype=np.int64)
+        node_at = np.argsort(degrees, kind="mergesort")
+        sorted_degrees = degrees[node_at]
+        band_low = np.searchsorted(sorted_degrees, (degrees * 0.5).astype(np.int64), "left")
+        band_high = np.searchsorted(
+            sorted_degrees, np.ceil(degrees * 1.5).astype(np.int64), "right"
+        )
+        narrow = band_high - band_low < 4  # widen degenerate bands (unique hub degrees)
+        band_low = np.where(narrow, np.maximum(0, band_low - 4), band_low)
+        band_high = np.where(narrow, np.minimum(num_nodes, band_high + 4), band_high)
+    else:
+        node_at = np.arange(num_nodes, dtype=np.int64)
+        band_low = np.zeros(num_nodes, dtype=np.int64)
+        band_high = np.full(num_nodes, num_nodes, dtype=np.int64)
 
     for node in range(num_nodes):
-        neighbor_ids = reach.indices[reach.indptr[node]: reach.indptr[node + 1]]
-        need = len(neighbor_ids)
+        khop_ids = reach.indices[reach.indptr[node]: reach.indptr[node + 1]]
+        need = len(khop_ids)
         if max_per_node is not None:
             need = min(need, max_per_node)
         if need == 0:
             negatives[node] = np.empty(0, dtype=np.int64)
             continue
-        if need < len(neighbor_ids):
-            neighbor_ids = rng.choice(neighbor_ids, size=need, replace=False)
-        forbidden = set(
-            reach.indices[reach.indptr[node]: reach.indptr[node + 1]].tolist()
-        )
-        forbidden.add(node)
-        node_label = labels[node] if labels is not None else None
+        neighbor_ids = khop_ids
+        if need < len(khop_ids):
+            neighbor_ids = rng.choice(khop_ids, size=need, replace=False)
+        # The anchor, its whole k-hop set, and every negative already taken.
+        excluded = set(khop_ids.tolist())
+        excluded.add(node)
+        node_label = label_of[node] if label_of is not None else -1
+        avoid = node_label if node_label >= 0 else None
+        low = band_low[neighbor_ids][:, None]
+        high = band_high[neighbor_ids][:, None]
         chosen: list = []
-        chosen_set: set = set()
-        for neighbor in neighbor_ids:
-            target_degree = int(degrees[neighbor]) if degree_weighted else None
-            found = False
-            for attempt in range(10):
-                if target_degree is not None:
-                    batch = degree_matched_candidates(target_degree, 6)
-                else:
-                    batch = rng.integers(0, num_nodes, size=6)
-                for candidate in batch:
-                    candidate = int(candidate)
-                    if candidate in forbidden or candidate in chosen_set:
-                        continue
-                    if (
-                        node_label is not None
-                        and node_label >= 0
-                        and labels[candidate] == node_label
-                        and attempt < 6
-                    ):
-                        # Prefer different-label negatives (paper §4.1.2);
-                        # relax after several rounds so tiny or single-class
-                        # graphs still get negatives.
-                        continue
-                    chosen.append(candidate)
-                    chosen_set.add(candidate)
-                    found = True
+        start, batch = 0, need
+        while start < need:
+            # Attempt 0 of the next ``batch`` neighbours in one call: a
+            # broadcast draw consumes the generator exactly like one ``size=6``
+            # call per row (tests/graph/test_sampler_oracle.py pins this).
+            stop = min(need, start + batch)
+            saved = rng.bit_generator.state
+            rows = node_at[rng.integers(low[start:stop], high[start:stop], size=(stop - start, 6))]
+            for row, candidates in enumerate(rows.tolist(), start):
+                pick = _first_acceptable(candidates, excluded, label_of, avoid)
+                if pick is None:
                     break
-                if found:
+                chosen.append(pick)
+                excluded.add(pick)
+            else:
+                start, batch = stop, 2 * batch
+                continue
+            # Row ``row`` took nothing: rewind and redraw rows up to it, so
+            # its attempts 1-9 come next in the stream, as row by row.
+            rng.bit_generator.state = saved
+            rng.integers(low[start: row + 1], high[start: row + 1], size=(row + 1 - start, 6))
+            for attempt in range(1, 10):
+                candidates = node_at[rng.integers(low[row, 0], high[row, 0], size=6)]
+                # Prefer different-label negatives (paper §4.1.2); relax after
+                # several rounds so tiny or single-class graphs still get
+                # negatives.
+                pick = _first_acceptable(
+                    candidates.tolist(), excluded, label_of, avoid if attempt < 6 else None
+                )
+                if pick is not None:
+                    chosen.append(pick)
+                    excluded.add(pick)
                     break
+            # Size the next batch from the run of acceptances just seen, so
+            # anchors whose rows often fail redraw little.
+            start, batch = row + 1, 2 * (row + 1 - start)
         negatives[node] = np.array(chosen, dtype=np.int64)
     return negatives
+
+
+def _first_acceptable(candidates, excluded, label_of, avoid_label):
+    """The first candidate not excluded and, when ``avoid_label`` is set, not
+    of that label; ``None`` when every candidate is rejected."""
+    for candidate in candidates:
+        if candidate in excluded:
+            continue
+        if avoid_label is not None and label_of[candidate] == avoid_label:
+            continue
+        return candidate
+    return None
 
 
 def negative_edge_index(negatives: Dict[int, np.ndarray]) -> np.ndarray:

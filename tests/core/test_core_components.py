@@ -47,6 +47,19 @@ class TestConfig:
         with pytest.raises(ValueError):
             SESConfig(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("max_negatives_per_node", 0), ("max_negatives_per_node", -1), ("max_khop_per_node", -5)],
+    )
+    def test_sampler_caps_rejected_with_one_line_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} ") as raised:
+            SESConfig(**{field: value})
+        assert "\n" not in str(raised.value)
+
+    def test_sampler_cap_boundaries_accepted(self):
+        config = SESConfig(max_khop_per_node=0, max_negatives_per_node=1)
+        assert (config.max_khop_per_node, config.max_negatives_per_node) == (0, 1)
+
     def test_with_overrides_returns_copy(self):
         config = SESConfig()
         changed = config.with_overrides(alpha=0.9)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph import (
     Graph,
@@ -40,7 +42,10 @@ class TestNegativeSampling:
         negatives = sample_negative_sets(graph, 1, np.random.default_rng(0))
         sets = relational_neighbor_sets(graph, 1)
         for node, negs in negatives.items():
-            assert len(negs) <= len(sets[node])
+            # Every degree band spans all six nodes, so each neighbour finds a
+            # negative while non-neighbours remain.
+            available = graph.num_nodes - 1 - len(sets[node])
+            assert len(negs) == min(len(sets[node]), available)
 
     def test_label_preference(self):
         graph = _community_graph()
@@ -83,6 +88,126 @@ class TestNegativeSampling:
         negatives = sample_negative_sets(graph, 1, rng)
         # With no usable labels the sampler must still return full sets.
         assert all(len(v) > 0 for v in negatives.values())
+
+
+def _random_graph(seed: int, num_nodes: int, density: float) -> Graph:
+    """Random labelled graph with a random train mask.  Sparse ones leave
+    isolated nodes; node 0 is a hub joined to a random half of the nodes, so
+    some degree bands are too narrow and must be widened."""
+    rng = np.random.default_rng(seed)
+    edges = rng.integers(0, num_nodes, size=(int(density * num_nodes * num_nodes), 2))
+    spokes = rng.choice(num_nodes, size=num_nodes // 2, replace=False)
+    edges = np.concatenate([edges, np.stack([np.zeros_like(spokes), spokes], axis=1)])
+    graph = Graph.from_edges(num_nodes, edges, labels=rng.integers(0, 3, size=num_nodes))
+    graph.train_mask = rng.random(num_nodes) < 0.6
+    return graph
+
+
+def _in_degree_band(degrees: np.ndarray, target: int, candidate: int) -> bool:
+    """``candidate``'s degree is within ±50% of ``target``'s, or — when fewer
+    than four nodes have such a degree — within four places of that band in
+    the degree-sorted node order."""
+    low_degree = int(degrees[target] * 0.5)
+    high_degree = int(np.ceil(degrees[target] * 1.5))
+    if low_degree <= degrees[candidate] <= high_degree:
+        return True
+    sorted_degrees = np.sort(degrees, kind="mergesort")
+    first = int(np.sum(sorted_degrees < low_degree))
+    end = int(np.sum(sorted_degrees <= high_degree))
+    if end - first >= 4:
+        return False
+    position = int(np.flatnonzero(np.argsort(degrees, kind="mergesort") == candidate)[0])
+    return max(0, first - 4) <= position < min(len(degrees), end + 4)
+
+
+class TestNegativeSamplingProperties:
+    """The documented guarantees of ``sample_negative_sets`` on random graphs."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        num_nodes=st.integers(2, 40),
+        density=st.sampled_from([0.02, 0.08, 0.3]),
+        k=st.integers(1, 3),
+    )
+    def test_each_negative_matches_the_degree_of_its_neighbour(self, seed, num_nodes, density, k):
+        graph = _random_graph(seed, num_nodes, density)
+        degrees = np.asarray(graph.adjacency.getnnz(axis=1))
+        reach = khop_adjacency(graph, k)
+        negatives = sample_negative_sets(graph, k, np.random.default_rng(seed))
+        for node, negs in negatives.items():
+            # Uncapped, negatives follow the k-hop neighbours in order, one per
+            # neighbour that found one: match them greedily as a subsequence.
+            targets = iter(reach.indices[reach.indptr[node]: reach.indptr[node + 1]].tolist())
+            for negative in negs.tolist():
+                assert any(_in_degree_band(degrees, target, negative) for target in targets)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        num_nodes=st.integers(1, 40),
+        density=st.sampled_from([0.0, 0.02, 0.08, 0.3]),
+        k=st.integers(1, 3),
+        max_per_node=st.sampled_from([None, 1, 3]),
+        degree_weighted=st.booleans(),
+    )
+    def test_negatives_are_distinct_and_outside_the_khop_set(
+        self, seed, num_nodes, density, k, max_per_node, degree_weighted
+    ):
+        graph = _random_graph(seed, num_nodes, density)
+        reach = khop_adjacency(graph, k)
+        negatives = sample_negative_sets(
+            graph, k, np.random.default_rng(seed),
+            max_per_node=max_per_node, degree_weighted=degree_weighted,
+        )
+        assert sorted(negatives) == list(range(num_nodes))
+        for node, negs in negatives.items():
+            khop = set(reach.indices[reach.indptr[node]: reach.indptr[node + 1]].tolist())
+            assert len(set(negs.tolist())) == len(negs)
+            assert not set(negs.tolist()) & (khop | {node})
+            assert len(negs) <= min(len(khop), max_per_node or len(khop))
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1))
+    def test_different_labels_taken_while_the_preference_applies(self, seed):
+        # A circulant graph: every node has degree 4, so every degree band is
+        # the whole graph and half of it has the other label.  Thirty-six
+        # preferred draws per neighbour then find a different label.
+        num_nodes = 60
+        edges = [(i, (i + step) % num_nodes) for i in range(num_nodes) for step in (1, 2)]
+        labels = np.random.default_rng(seed).permutation(np.arange(num_nodes) % 2)
+        graph = Graph.from_edges(num_nodes, np.array(edges), labels=labels)
+        graph.train_mask = np.ones(num_nodes, dtype=bool)
+        preferred = sample_negative_sets(graph, 1, np.random.default_rng(seed))
+        for node, negs in preferred.items():
+            assert len(negs) == 4
+            assert (labels[negs] != labels[node]).all()
+        # Without labels the same draws do take same-label negatives.
+        plain = sample_negative_sets(graph, 1, np.random.default_rng(seed), use_labels=False)
+        assert any((labels[negs] == labels[node]).any() for node, negs in plain.items())
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        num_nodes=st.integers(2, 40),
+        density=st.sampled_from([0.02, 0.08, 0.3]),
+    )
+    def test_labels_outside_train_mask_are_never_read(self, seed, num_nodes, density):
+        graph = _random_graph(seed, num_nodes, density)
+        held_out = np.flatnonzero(~graph.train_mask)
+        shuffled = _random_graph(seed, num_nodes, density)
+        # Permute the held-out labels, and move every other one to a class
+        # no training node has, so that a permutation that happens to be the
+        # identity still changes them.
+        shuffled.labels = graph.labels.copy()
+        permuted = np.random.default_rng(seed + 1).permutation(graph.labels[held_out])
+        shuffled.labels[held_out] = permuted + 7 * (np.arange(len(held_out)) % 2)
+        rng, shuffled_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = sample_negative_sets(graph, 2, rng)
+        got = sample_negative_sets(shuffled, 2, shuffled_rng)
+        for node in expected:
+            np.testing.assert_array_equal(got[node], expected[node])
+        assert rng.bit_generator.state == shuffled_rng.bit_generator.state
 
 
 class TestSplits:
