@@ -75,6 +75,32 @@ def main() -> int:
         assert np.allclose(x_outs[0], x_outs[1], rtol=1e-9, atol=1e-12)
         assert np.allclose(x_grads[0], x_grads[1], rtol=1e-9, atol=1e-12)
 
+    def pair_scorer_parity():
+        from repro.tensor import MLP, Tensor, functional as F, gather_rows, pair_mlp
+
+        rng = np.random.default_rng(0)
+        num_nodes, num_pairs, width = 40, 200, 6
+        pairs = rng.integers(0, num_nodes, (2, num_pairs)).astype(np.int64)
+        h_data = rng.normal(size=(num_nodes, width))
+        for blocks in (2, 3):
+            mlp = MLP((blocks * width, 8, 1), rng=rng)
+            outs, grads = [], []
+            for fused in (True, False):
+                mlp.zero_grad()
+                h = Tensor(h_data.copy(), requires_grad=True)
+                if fused:
+                    out = pair_mlp(mlp, h, pairs)
+                else:
+                    h_i, h_k = gather_rows(h, pairs[0]), gather_rows(h, pairs[1])
+                    parts = [h_i, h_k, h_i * h_k][:blocks]
+                    out = mlp(F.concatenate(parts, axis=1)).reshape(-1)
+                (out * out).sum().backward()
+                outs.append(out.data)
+                grads.append([h.grad] + [p.grad for p in mlp.parameters()])
+            assert np.allclose(outs[0], outs[1], rtol=1e-9, atol=1e-12), blocks
+            for fused_grad, composed_grad in zip(*grads):
+                assert np.allclose(fused_grad, composed_grad, rtol=1e-9, atol=1e-12), blocks
+
     def datasets():
         from repro.datasets import load_dataset
 
@@ -334,6 +360,7 @@ def main() -> int:
 
     check("autograd gradients", autograd, results)
     check("csr kernel parity", csr_kernel_parity, results)
+    check("pair scorer parity", pair_scorer_parity, results)
     check("dataset generators", datasets, results)
     check("baseline classifier", baseline, results)
     check("SES two-phase pipeline", ses, results)

@@ -110,6 +110,13 @@ class SESConfig:
         check_positive_int(self.explainable_epochs, "explainable_epochs")
         check_positive_int(self.predictive_epochs, "predictive_epochs")
         check_positive_int(self.max_negatives_per_node, "max_negatives_per_node")
+        check_positive_int(self.mask_mlp_hidden, "mask_mlp_hidden")
+        check_positive_int(self.heads, "heads")
+        check_positive(self.predictive_lr_scale, "predictive_lr_scale")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
+        if self.weight_decay < 0:
+            raise ValueError(f"weight_decay must be non-negative, got {self.weight_decay}")
         if int(self.max_khop_per_node) != self.max_khop_per_node or self.max_khop_per_node < 0:
             raise ValueError(
                 "max_khop_per_node must be a non-negative integer (0 keeps all), "

@@ -5,8 +5,9 @@ Produces, from the graph encoder's first-layer hidden states ``H``:
 * the **feature mask** ``M_f = MLP(H)`` (Eq. 3) — one importance weight per
   node and feature dimension, squashed to (0, 1) by a sigmoid;
 * the **structure mask** ``M_s`` (Eq. 4) — one weight per k-hop edge,
-  scored by a *shared* linear layer over the concatenated endpoint hidden
-  states ``cat(h_i, h_k)`` followed by a sigmoid;
+  scored by a *shared* scorer over the concatenated endpoint hidden states
+  ``cat(h_i, h_k)`` followed by a sigmoid (evaluated by
+  :func:`repro.tensor.pair_mlp` without materialising the concatenation);
 * the **negative structure mask** ``M_sneg`` — the same scorer applied to
   the sampled negative pairs ``P_n``, used only by the subgraph loss.
 
@@ -21,7 +22,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..tensor import MLP, Module, Tensor, cached_layout, functional as F, gather_rows
+from ..tensor import MLP, Module, Tensor, functional as F, pair_mlp
 
 
 class MaskGenerator(Module):
@@ -63,21 +64,14 @@ class MaskGenerator(Module):
         """Sigmoid edge scores for ``(2, M)`` (center, other) pairs."""
         if pairs.shape[1] == 0:
             return Tensor(np.zeros(0))
-        # The k-hop pair list is fixed per dataset, so the gather adjoints
-        # reuse the process-wide CSR layout memo instead of re-sorting the
-        # (often very large) pair index every epoch.
-        num_rows = hidden.shape[0]
-        h_center = gather_rows(hidden, pairs[0], layout=cached_layout(pairs[0], num_rows))
-        h_other = gather_rows(hidden, pairs[1], layout=cached_layout(pairs[1], num_rows))
-        pair_features = F.concatenate(
-            [h_center, h_other, h_center * h_other], axis=1
-        )
-        logits = self.edge_scorer(pair_features) * (1.0 / self.temperature)
+        # Eq. 4 in decomposed form: ``pair_mlp`` scores the pairs without
+        # building their (M, 3d) concatenated input (DESIGN.md §5).
+        logits = pair_mlp(self.edge_scorer, hidden, pairs) * (1.0 / self.temperature)
         # Tempered sigmoid: without it the subgraph loss saturates the
         # scorer within a few epochs and the masked cross-entropy of Eq. 8 —
         # the term that keeps classification-critical edges alive — is left
         # with a dead gradient (sigma' ~ 0).
-        return F.sigmoid(logits).reshape(-1)
+        return F.sigmoid(logits)
 
     def structure_mask(self, hidden: Tensor, khop_edges: np.ndarray) -> Tensor:
         """``M_s``: (N_k,) importance of each k-hop edge (Eq. 4)."""

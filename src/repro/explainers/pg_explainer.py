@@ -14,7 +14,7 @@ from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
-from ..tensor import MLP, Adam, Tensor, functional as F, gather_rows, no_grad
+from ..tensor import MLP, Adam, Tensor, functional as F, no_grad, pair_mlp
 from ..utils import make_rng
 from .base import Explainer, NodeExplanation
 
@@ -71,13 +71,15 @@ class PGExplainer(Explainer):
             )
             return logits.data
 
-    def _edge_logits(self) -> Tensor:
-        embeddings = Tensor(self._node_embeddings())
-        src, dst = self.edge_index
-        pair_features = F.concatenate(
-            [gather_rows(embeddings, src), gather_rows(embeddings, dst)], axis=1
-        )
-        return self.edge_mlp(pair_features).reshape(-1)
+    def _edge_logits(self, embeddings: Optional[np.ndarray] = None) -> Tensor:
+        """``(E,)`` logits of ``edge_mlp`` on ``[z_src || z_dst]`` per edge.
+
+        ``embeddings`` are the frozen target model's node embeddings; pass
+        them when scoring repeatedly, since they cannot change between calls.
+        """
+        if embeddings is None:
+            embeddings = self._node_embeddings()
+        return pair_mlp(self.edge_mlp, Tensor(embeddings), self.edge_index)
 
     def _concrete_sample(self, logits: Tensor, temperature: float) -> Tensor:
         """Binary-concrete relaxation of Bernoulli edge masks."""
@@ -93,10 +95,13 @@ class PGExplainer(Explainer):
         node_mask = np.zeros(graph.num_nodes, dtype=bool)
         node_mask[self.train_nodes] = True
         t_start, t_end = self.temperature
+        # Only edge_mlp is optimised and the target model runs in eval mode,
+        # so its embeddings are fixed for the whole fit.
+        embeddings = self._node_embeddings()
         for epoch in range(self.epochs):
             temperature = t_start * (t_end / t_start) ** (epoch / max(1, self.epochs - 1))
             self.optimizer.zero_grad()
-            logits = self._edge_logits()
+            logits = self._edge_logits(embeddings)
             mask = self._concrete_sample(logits, temperature)
             predictions = self._forward(features, self.edge_index, graph.num_nodes, mask)
             loss = (

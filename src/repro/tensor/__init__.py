@@ -6,6 +6,8 @@ This subpackage replaces PyTorch for the SES reproduction.  Public surface:
 * :mod:`repro.tensor.functional` (imported as ``F``) — activations/losses.
 * :func:`gather_rows`, :func:`segment_sum`, :func:`segment_mean`,
   :func:`segment_softmax` — message-passing primitives.
+* :func:`pair_mlp` — a 2-layer MLP over concatenated endpoint pairs,
+  evaluated without building the concatenation (the SES Eq. 4 scorer).
 * :func:`spmm` — constant-sparse × dense product.
 * :class:`Module`, :class:`Linear`, :class:`MLP`, :class:`Sequential`,
   :class:`Dropout` — NN building blocks.
@@ -20,7 +22,7 @@ from .csr import CSRSegmentLayout, cached_layout, clear_layout_cache
 from .init import xavier_uniform, xavier_uniform_shape, zeros_init
 from .module import MLP, Dropout, Linear, Module, Sequential
 from .optim import SGD, Adam, Optimizer
-from .scatter import gather_rows, segment_mean, segment_softmax, segment_sum
+from .scatter import gather_rows, pair_mlp, segment_mean, segment_softmax, segment_sum
 from .sparse import spmm
 from .tensor import Tensor, as_tensor, is_grad_enabled, no_grad, ones, unbroadcast, zeros
 
@@ -37,6 +39,7 @@ __all__ = [
     "cached_layout",
     "clear_layout_cache",
     "gather_rows",
+    "pair_mlp",
     "segment_sum",
     "segment_mean",
     "segment_softmax",

@@ -22,6 +22,11 @@ Two implementations back each primitive:
   ``scripts/selfcheck.py``) and as an escape hatch — see docs/PERF.md.
 
 Both paths produce the same values up to float summation order.
+
+:func:`pair_mlp` builds on the same layouts: it scores endpoint pairs with
+a 2-layer MLP over their concatenated rows without forming that
+concatenation, and its backward reduces to nodes through one scatter per
+endpoint (docs/PERF.md, "Phase 1: the Eq. 4 pair scorer").
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .csr import CSRSegmentLayout, cached_layout
+from .functional import relu
 from .tensor import Tensor, as_tensor
 
 
@@ -88,6 +94,106 @@ def gather_rows(
             x._accumulate(resolved.scatter_add(grad, role="gather_rows"))
 
     return Tensor._make(out_data, (x,), backward)
+
+
+def pair_mlp(mlp, hidden: Tensor, pairs: np.ndarray) -> Tensor:
+    """``(E,)`` logits of a 2-layer ReLU ``mlp`` on ``[h_i, h_k(, h_i⊙h_k)]``.
+
+    Equal to ``mlp(concatenate([h[i], h[k], h[i] * h[k]], axis=1))`` for
+    the ``(2, E)`` pair list ``(i, k)``, but that ``(E, 3d)`` input is never
+    built.  The first weight splits by input block into ``W_a, W_b(, W_c)``.
+    The endpoint blocks are linear in one node each, so they are projected
+    per node (``H·W_a`` and ``H·W_b``: N rows, not E) and then gathered by
+    pair; only the product block, the ReLU and the second layer do per-pair
+    work.  The product block is present when the first weight has ``3d``
+    rows and absent when it has ``2d``.
+
+    The backward segment-sums the pre-activation gradient, with the product
+    block's endpoint gradient beside it, to nodes: one scatter through each
+    endpoint's cached layout.  ``W_a``, ``W_b`` and ``dH`` then take N-row
+    matmuls.  The tape keeps alive only the ``(E, hidden)`` ReLU output and,
+    with the product block, the ``(E, d)`` product ``h_i⊙h_k``.
+    """
+    linears = getattr(mlp, "linears", ())
+    if (
+        len(linears) != 2
+        or mlp.dropout_p
+        or mlp.final_activation is not None
+        or mlp.activation is not relu
+        or any(layer.bias is None for layer in linears)
+        or linears[1].out_features != 1
+    ):
+        raise ValueError(
+            "pair_mlp needs a 2-layer ReLU MLP with biases, one output, "
+            "no dropout and no final activation"
+        )
+    first, second = linears
+    num_nodes, d = hidden.shape
+    rows = first.weight.shape[0]
+    if rows not in (2 * d, 3 * d):
+        raise ValueError(
+            f"pair_mlp first-layer weight has {rows} rows; expected {2 * d} "
+            f"or {3 * d} for {d}-wide hidden states"
+        )
+    product = rows == 3 * d
+    pairs = np.asarray(pairs, dtype=np.int64)
+    center, other = pairs[0], pairs[1]
+    h = hidden.data
+    w1, w2 = first.weight.data, second.weight.data
+    w_a, w_b, w_c = w1[:d], w1[d : 2 * d], w1[2 * d :]
+
+    if product:
+        pair_product = np.take(h, center, axis=0)
+        pair_product *= np.take(h, other, axis=0)
+        z = pair_product @ w_c
+        z += np.take(h @ w_a, center, axis=0)
+    else:
+        z = np.take(h @ w_a, center, axis=0)
+    z += np.take(h @ w_b, other, axis=0)
+    z += first.bias.data
+    activated = np.maximum(z, 0.0, out=z)
+    out_data = (activated @ w2).reshape(-1) + second.bias.data
+
+    def backward(grad: np.ndarray) -> None:
+        m = activated.shape[1]
+        # Leading columns: the pre-activation gradient dz.  Trailing columns
+        # (product block with a trainable H only): the product's gradient
+        # towards the endpoint being scattered to.
+        with_product = product and hidden.requires_grad
+        buffer = np.empty((grad.shape[0], m + d if with_product else m))
+        dz = buffer[:, :m]
+        np.multiply(grad[:, None], w2[:, 0], out=dz)
+        np.multiply(dz, activated > 0, out=dz)
+        if with_product:
+            d_product = dz @ w_c.T
+        d_blocks = []
+        d_hidden = None
+        # A scatter's result is layout scratch, overwritten by the next
+        # scatter through the same layout: consume it inside the iteration.
+        for index, w_block, partner in ((center, w_a, other), (other, w_b, center)):
+            if with_product:
+                np.multiply(d_product, np.take(h, partner, axis=0), out=buffer[:, m:])
+            summed = cached_layout(index, num_nodes).scatter_add(buffer, role="pair_mlp")
+            d_blocks.append(h.T @ summed[:, :m])
+            if hidden.requires_grad:
+                part = summed[:, :m] @ w_block.T
+                if with_product:
+                    part += summed[:, m:]
+                if d_hidden is None:
+                    d_hidden = part
+                else:
+                    d_hidden += part
+        if product:
+            d_blocks.append(pair_product.T @ dz)
+        first.weight._accumulate(np.concatenate(d_blocks, axis=0))
+        first.bias._accumulate(dz.sum(axis=0))
+        second.weight._accumulate(activated.T @ grad[:, None])
+        second.bias._accumulate(np.atleast_1d(grad.sum()))
+        if d_hidden is not None:
+            hidden._accumulate(d_hidden)
+
+    parents = (hidden, first.weight, first.bias, second.weight, second.bias)
+    return Tensor._make(out_data, parents, backward)
 
 
 def segment_sum(

@@ -60,6 +60,30 @@ class TestConfig:
         config = SESConfig(max_khop_per_node=0, max_negatives_per_node=1)
         assert (config.max_khop_per_node, config.max_negatives_per_node) == (0, 1)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("mask_mlp_hidden", 0),
+            ("mask_mlp_hidden", -3),
+            ("dropout", -0.2),
+            ("dropout", 1.0),
+            ("weight_decay", -1.0),
+            ("predictive_lr_scale", -1.0),
+            ("predictive_lr_scale", 0.0),
+            ("heads", 0),
+        ],
+    )
+    def test_model_fields_rejected_with_one_line_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} ") as raised:
+            SESConfig(**{field: value})
+        assert "\n" not in str(raised.value)
+
+    def test_model_field_boundaries_accepted(self):
+        config = SESConfig(mask_mlp_hidden=1, heads=1, dropout=0.0, weight_decay=0.0)
+        assert (config.mask_mlp_hidden, config.heads) == (1, 1)
+        assert (config.dropout, config.weight_decay) == (0.0, 0.0)
+        assert SESConfig(dropout=0.99).dropout == 0.99
+
     def test_with_overrides_returns_copy(self):
         config = SESConfig()
         changed = config.with_overrides(alpha=0.9)

@@ -180,6 +180,38 @@ class TestPGExplainer:
         assert auc > 0.5
 
 
+class _ParentPGExplainer(PGExplainer):
+    """The pre-fusion edge scorer: concatenate gathered endpoints, apply the
+    MLP, and recompute the target model's embeddings on every call."""
+
+    def _edge_logits(self, embeddings=None):
+        from repro.tensor import Tensor, functional as F, gather_rows
+
+        embeddings = Tensor(self._node_embeddings())
+        src, dst = self.edge_index
+        pair_features = F.concatenate(
+            [gather_rows(embeddings, src), gather_rows(embeddings, dst)], axis=1
+        )
+        return self.edge_mlp(pair_features).reshape(-1)
+
+
+class TestPGExplainerPairScorer:
+    def test_training_and_scores_match_parent_path(self, trained_gcn, small_motif_graph):
+        runs = []
+        for cls in (PGExplainer, _ParentPGExplainer):
+            explainer = cls(trained_gcn.model, small_motif_graph, epochs=8, seed=0)
+            scores = explainer.edge_scores()
+            runs.append((explainer.edge_mlp.state_dict(), scores))
+        (fused_state, fused_scores), (parent_state, parent_scores) = runs
+        assert fused_state.keys() == parent_state.keys()
+        for name, array in parent_state.items():
+            np.testing.assert_allclose(fused_state[name], array, rtol=1e-9, atol=1e-12)
+        assert fused_scores.keys() == parent_scores.keys()
+        np.testing.assert_allclose(
+            list(fused_scores.values()), list(parent_scores.values()), rtol=1e-9
+        )
+
+
 class TestPGMExplainer:
     def test_explanation_structure(self, trained_gcn, small_motif_graph):
         node = int(small_motif_graph.extra["motif_nodes"][0])

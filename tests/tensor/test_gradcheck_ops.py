@@ -24,9 +24,11 @@ from repro.nn import (
     TransformerConv,
 )
 from repro.tensor import (
+    MLP,
     Tensor,
     functional as F,
     gather_rows,
+    pair_mlp,
     segment_mean,
     segment_softmax,
     segment_sum,
@@ -102,6 +104,25 @@ def test_gather_rows_2d_index_gradient():
     x = _param((5, 2))
     index = np.array([[0, 2], [4, 4]], dtype=np.int64)
     assert_grad_close(lambda t: gather_rows(t, index), x)
+
+
+# ----------------------------------------------------------------------
+# Pair scorer (SES Eq. 4)
+# ----------------------------------------------------------------------
+# Duplicate pairs (0, 1), self pairs (2, 2) / (3, 3), and node 4 in no pair.
+PAIRS = np.array([[0, 2, 0, 1, 3, 1], [1, 2, 1, 3, 3, 0]], dtype=np.int64)
+
+
+@pytest.mark.parametrize("blocks", [2, 3], ids=["2d", "3d"])
+@pytest.mark.parametrize("hidden_grad", [True, False], ids=["hidden_grad", "hidden_const"])
+def test_pair_mlp_gradient(blocks, hidden_grad):
+    hidden = Tensor(RNG.normal(size=(5, 3)), requires_grad=hidden_grad)
+    mlp = MLP((blocks * 3, 4, 1), rng=np.random.default_rng(3))
+    for param in mlp.parameters():
+        param.data[...] = RNG.normal(size=param.shape)
+    assert_grad_close(
+        lambda h, *params: pair_mlp(mlp, h, PAIRS), hidden, *mlp.parameters()
+    )
 
 
 # ----------------------------------------------------------------------
