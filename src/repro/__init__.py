@@ -26,11 +26,16 @@ Subpackages
 ``repro.analysis``     t-SNE, sensitivity sweeps, mask dynamics
 ``repro.experiments``  one harness per paper table/figure
 ``repro.obs``          run telemetry (JSONL records) + op-level profiler
+
+Subpackages load on first attribute access (PEP 562), so ``import
+repro.parallel.worker`` or ``import repro.serve.cli`` pulls in only what
+those modules import, not ``scipy.stats``, the explainers or the plotting
+helpers; ``import repro; repro.explainers`` works as before.
 """
 
-__version__ = "1.0.0"
+import importlib
 
-from . import analysis, core, datasets, explainers, graph, graphlevel, io, metrics, models, nn, obs, tensor, utils, viz
+__version__ = "1.0.0"
 
 __all__ = [
     "tensor",
@@ -49,3 +54,15 @@ __all__ = [
     "viz",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    if name in __all__:
+        # import_module also binds the submodule on this package, so the
+        # hook runs once per name.
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -32,8 +32,6 @@ import os
 import sys
 import time
 
-from .experiments import ALL_EXPERIMENTS, get_profile
-
 SUBCOMMANDS = ("obs-report", "obs-diff", "obs-trace", "doctor", "run-ses", "serve")
 
 
@@ -63,6 +61,10 @@ def main(argv=None) -> int:
         from .serve import cli as serve_cli
 
         return serve_cli.main(argv[1:])
+
+    # Only an experiment name needs the harnesses (and their scipy.stats,
+    # explainer and analysis imports); the subcommands above never load them.
+    from .experiments import ALL_EXPERIMENTS, get_profile
 
     parser = argparse.ArgumentParser(prog="python -m repro", description=__doc__)
     parser.add_argument(

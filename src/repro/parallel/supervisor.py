@@ -14,14 +14,19 @@ Architecture (docs/PARALLEL.md):
   (:mod:`repro.parallel.reduce`).  The trainer applies one aggregated
   optimizer step — supervisor-side, so optimizer state never leaves the
   trainer.
-* **Worker failure is a first-class event**: workers heartbeat over a
-  monitored event queue; the liveness watchdog declares a worker dead when
-  its process exits and *hung* when heartbeats stop for longer than
-  ``heartbeat_timeout`` (a hung worker is terminated — it cannot be
-  trusted).  Failed workers restart with exponential backoff under a
-  bounded per-rank budget; a rank that exhausts its budget is dropped and
-  its shards re-dispatch deterministically to the survivors.  Only an empty
-  pool raises :class:`ParallelTrainingError` — the last resort, analogous
+* **The pool starts concurrently**: a worker's init payload is the first
+  message on its task queue, not a ``Process`` argument, so
+  ``Process.start()`` returns at once and every rank imports and builds its
+  replica at the same time.
+* **Worker failure is a first-class event**: each worker heartbeats over its
+  own event pipe; the liveness watchdog declares a worker dead when its
+  process exits or its pipe reaches EOF, and *hung* when heartbeats stop for
+  longer than ``heartbeat_timeout`` (a hung worker is terminated — it
+  cannot be trusted).  The heartbeat clock starts at the worker's
+  ``hello``: while it imports, only death counts as failure.  Failed
+  workers restart with exponential backoff under a bounded per-rank budget;
+  a rank that exhausts its budget is dropped and its shards re-dispatch
+  deterministically to the survivors.  Only an empty pool raises :class:`ParallelTrainingError` — the last resort, analogous
   to ``TrainingDivergedError`` in the recovery policy.
 
 ``workers=1`` runs the identical shard computations in-process through the
@@ -36,6 +41,7 @@ import multiprocessing
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait as wait_channels
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -76,6 +82,11 @@ _REDUCE_SECONDS = _METRICS.histogram(
 )
 _SHARDS_TOTAL = _METRICS.counter(
     "repro_parallel_shards_total", "Completed shard computations by phase"
+)
+_WORKER_START_SECONDS = _METRICS.histogram(
+    "repro_parallel_worker_start_seconds",
+    "Seconds from a worker's spawn to its hello (imports + replica build)",
+    buckets=exponential_buckets(0.05, 2.0, 10),
 )
 
 
@@ -138,11 +149,17 @@ class EpochOutcome:
 class _WorkerHandle:
     """Supervisor-side view of one spawned worker process."""
 
-    def __init__(self, rank: int, process, task_queue) -> None:
+    def __init__(
+        self, rank: int, process, task_queue, events, spawned_at: float
+    ) -> None:
         self.rank = rank
         self.process = process
         self.task_queue = task_queue
-        self.last_seen = time.monotonic()
+        self.events = events
+        self.spawned_at = spawned_at
+        # None until the worker's hello: the heartbeat clock starts there.
+        self.last_seen: Optional[float] = None
+        self.eof = False
         self.constants_version = -1
 
 
@@ -173,7 +190,6 @@ class WorkerSupervisor:
         self._inline: Optional[ShardContext] = None
         self._inline_version = -1
         self._context = multiprocessing.get_context("spawn")
-        self._event_queue = None
         self._handles: Dict[int, _WorkerHandle] = {}
         self._dead_ranks: set = set()
         self._restarts: Counter = Counter()
@@ -286,20 +302,20 @@ class WorkerSupervisor:
         init = dict(self._init_factory())
         init["fault_specs"] = self._unconsumed_specs()
         task_queue = self._context.Queue()
+        events, worker_end = self._context.Pipe(duplex=False)
         process = self._context.Process(
             target=worker_main,
-            args=(
-                rank,
-                init,
-                task_queue,
-                self._event_queue,
-                self.config.heartbeat_interval,
-            ),
+            args=(rank, task_queue, worker_end, self.config.heartbeat_interval),
             name=f"repro-parallel-w{rank}",
             daemon=True,
         )
+        spawned_at = time.time()
         process.start()
-        handle = _WorkerHandle(rank, process, task_queue)
+        # Only the child may hold the write end, or its death is no EOF here.
+        worker_end.close()
+        # The queue's feeder thread ships init while the child imports.
+        task_queue.put(("init", init))
+        handle = _WorkerHandle(rank, process, task_queue, events, spawned_at)
         self._handles[rank] = handle
         _WORKERS_ALIVE.set(len(self._handles))
         return handle
@@ -307,7 +323,6 @@ class WorkerSupervisor:
     def _ensure_started(self) -> None:
         if self._started:
             return
-        self._event_queue = self._context.Queue()
         self._dead_ranks = set()
         self._restarts = Counter()
         for rank in range(self.config.workers):
@@ -333,6 +348,7 @@ class WorkerSupervisor:
         # the feeder thread would block interpreter exit on the buffered data.
         handle.task_queue.cancel_join_thread()
         handle.task_queue.close()
+        handle.events.close()
 
     def _run_epoch_pool(
         self, phase: str, epoch: int, tasks, params, constants
@@ -361,14 +377,17 @@ class WorkerSupervisor:
             now = time.monotonic()
             for rank in list(self._handles):
                 handle = self._handles[rank]
-                age = now - handle.last_seen
-                _HEARTBEAT_AGE.set(age, rank=str(rank))
-                if not handle.process.is_alive():
+                if handle.eof or not handle.process.is_alive():
                     self._on_worker_failure(
                         rank, "died", phase, epoch, owner, results,
                         tasks, params, constants,
                     )
-                elif age > self.config.heartbeat_timeout:
+                    continue
+                if handle.last_seen is None:
+                    continue  # still starting: only death counts
+                age = now - handle.last_seen
+                _HEARTBEAT_AGE.set(age, rank=str(rank))
+                if age > self.config.heartbeat_timeout:
                     self._on_worker_failure(
                         rank, "hung", phase, epoch, owner, results,
                         tasks, params, constants,
@@ -379,36 +398,49 @@ class WorkerSupervisor:
         self, phase: str, epoch: int, results: Dict[int, Dict], timeout: float
     ) -> None:
         """Consume pending worker events; block at most ``timeout`` once."""
-        import queue as queue_module
-
         block = True
         while True:
-            try:
-                event = self._event_queue.get(timeout=timeout if block else 0)
-            except queue_module.Empty:
+            channels = {
+                handle.events: handle
+                for handle in self._handles.values()
+                if not handle.eof
+            }
+            ready = wait_channels(list(channels), timeout=timeout if block else 0)
+            if not ready:
                 return
             block = False
-            kind = event[0]
-            if kind in ("heartbeat", "hello"):
-                rank = event[1]
-                handle = self._handles.get(rank)
-                if handle is not None:
-                    handle.last_seen = time.monotonic()
-            elif kind == "result":
-                _, rank, result_phase, result_epoch, shard_id, payload = event
-                handle = self._handles.get(rank)
-                if handle is not None:
-                    handle.last_seen = time.monotonic()
-                if result_phase == phase and result_epoch == epoch:
-                    # Duplicates (a slow worker finishing a re-dispatched
-                    # shard) are byte-identical by construction; last write
-                    # wins and the count stays correct.
-                    results[shard_id] = payload
-            elif kind == "error":
-                _, rank, trace = event
-                raise ParallelTrainingError(
-                    f"worker {rank} raised an unrecoverable exception:\n{trace}"
-                )
+            for channel in ready:
+                handle = channels[channel]
+                try:
+                    event = channel.recv()
+                except (EOFError, OSError):
+                    # The write end closed: the process is gone, perhaps
+                    # mid-message.  The watchdog reclaims the rank.
+                    handle.eof = True
+                    continue
+                self._on_event(handle, event, phase, epoch, results)
+
+    def _on_event(
+        self, handle: _WorkerHandle, event, phase: str, epoch: int, results
+    ) -> None:
+        kind = event[0]
+        if kind == "error":
+            _, rank, trace = event
+            raise ParallelTrainingError(
+                f"worker {rank} raised an unrecoverable exception:\n{trace}"
+            )
+        if kind == "hello":
+            _WORKER_START_SECONDS.observe(
+                max(0.0, event[3] - handle.spawned_at), rank=str(handle.rank)
+            )
+        handle.last_seen = time.monotonic()
+        if kind == "result":
+            _, _, result_phase, result_epoch, shard_id, payload = event
+            if result_phase == phase and result_epoch == epoch:
+                # Duplicates (a slow worker finishing a re-dispatched
+                # shard) are byte-identical by construction; last write
+                # wins and the count stays correct.
+                results[shard_id] = payload
 
     def _on_worker_failure(
         self,
@@ -534,6 +566,5 @@ class WorkerSupervisor:
         self._handles.clear()
         self._dead_ranks = set()
         self._restarts = Counter()
-        self._event_queue = None
         self._started = False
         _WORKERS_ALIVE.set(0)

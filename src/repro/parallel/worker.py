@@ -15,14 +15,20 @@ in-process path at ``workers=1``) computing shard ``s`` of epoch ``e``
 consumes the identical draws — across restarts, re-sharding and worker
 counts (docs/PARALLEL.md).
 
-Protocol (multiprocessing queues, spawn context):
+Protocol (spawn context, one task queue and one event pipe per worker):
 
-* task queue (per worker): ``("epoch", phase, epoch, params, version,
-  constants_or_None)``, ``("shard", phase, epoch, shard_id, anchors,
-  pooled_or_None)``, ``("stop",)``.
-* event queue (shared): ``("hello", rank, pid, t)``, ``("heartbeat", rank,
-  t)``, ``("result", rank, phase, epoch, shard_id, payload)``, ``("error",
-  rank, traceback_text)``.
+* task queue: ``("init", init)`` first — the graph, k-hop edges, negatives,
+  config, seed and fault specs — then ``("epoch", phase, epoch, params,
+  version, constants_or_None)``, ``("shard", phase, epoch, shard_id,
+  anchors, pooled_or_None)``, ``("stop",)``.  The init payload travels as a
+  message rather than a ``Process`` argument so that ``Process.start()``
+  returns at once and the pool's workers import side by side.
+* event pipe (the write end of a ``Pipe(duplex=False)``): ``("hello",
+  rank, pid, t)`` once the replica is built, ``("heartbeat", rank, t)``,
+  ``("result", rank, phase, epoch, shard_id, payload)``, ``("error", rank,
+  traceback_text)``.  No other process writes to it, so a worker that dies
+  mid-write wedges only its own channel; the supervisor reads its EOF as
+  the rank's death.
 
 Heartbeats are emitted from the main loop — on idle queue timeouts and at
 task start — so a worker hung inside a task (or by ``hang_worker``) goes
@@ -169,22 +175,22 @@ def _due_fault(
 
 def worker_main(
     rank: int,
-    init: Dict,
     task_queue,
-    event_queue,
+    events,
     heartbeat_interval: float,
 ) -> None:
     """Entry point of one spawned worker process."""
     try:
+        _, init = task_queue.get()
         context = ShardContext(init)
         specs: List[FaultSpec] = list(init.get("fault_specs", ()))
         fired: set = set()
-        event_queue.put(("hello", rank, os.getpid(), time.time()))
+        events.send(("hello", rank, os.getpid(), time.time()))
         while True:
             try:
                 message = task_queue.get(timeout=heartbeat_interval)
             except queue_module.Empty:
-                event_queue.put(("heartbeat", rank, time.time()))
+                events.send(("heartbeat", rank, time.time()))
                 continue
             kind = message[0]
             if kind == "stop":
@@ -192,7 +198,7 @@ def worker_main(
             if kind == "epoch":
                 _, phase, epoch, params, version, constants = message
                 context.begin_epoch(phase, epoch, params, version, constants)
-                event_queue.put(("heartbeat", rank, time.time()))
+                events.send(("heartbeat", rank, time.time()))
                 continue
             _, phase, epoch, shard_id, anchors, pooled = message
             fault = _due_fault(specs, fired, phase, epoch, rank)
@@ -204,13 +210,13 @@ def worker_main(
                 # only the supervisor's liveness watchdog can detect it.
                 while True:
                     time.sleep(3600)
-            event_queue.put(("heartbeat", rank, time.time()))
+            events.send(("heartbeat", rank, time.time()))
             payload = context.compute(phase, epoch, shard_id, anchors, pooled)
-            event_queue.put(("result", rank, phase, epoch, shard_id, payload))
+            events.send(("result", rank, phase, epoch, shard_id, payload))
     except KeyboardInterrupt:
         pass
     except Exception:  # noqa: BLE001 - ship the traceback to the supervisor
         try:
-            event_queue.put(("error", rank, traceback.format_exc()))
-        except Exception:  # queue already torn down; nothing left to report
+            events.send(("error", rank, traceback.format_exc()))
+        except Exception:  # channel already torn down; nothing left to report
             pass

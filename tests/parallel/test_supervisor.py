@@ -5,6 +5,13 @@ watchdog, restart budgets and degradation paths, asserting both the
 recovery bookkeeping and that recovery never moves the numbers.
 """
 
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,6 +22,8 @@ from repro.parallel import ParallelConfig, ParallelTrainingError, WorkerSupervis
 from repro.resilience import FaultPlan
 
 pytestmark = pytest.mark.parallel
+
+REPO = Path(__file__).resolve().parent.parent.parent
 
 EXPLAINABLE_EPOCHS = 3
 PREDICTIVE_EPOCHS = 2
@@ -94,6 +103,62 @@ class TestHungWorker:
         assert runner.total_failures == 1
         assert runner.total_restarts == 1
         _assert_bit_identical(result, reference)
+
+
+# Trains in a fresh interpreter and prints what the parity check compares.
+_SLOW_START_FIT = """
+import hashlib, json
+from repro.core import SESTrainer, fast_config
+from repro.datasets import load_dataset
+from repro.graph import classification_split
+from repro.obs.metrics import default_registry
+
+graph = classification_split(load_dataset("cora", scale=0.15, seed=0), seed=0)
+config = fast_config("gcn", explainable_epochs=%d, predictive_epochs=%d, seed=0)
+trainer = SESTrainer(graph, config)
+trainer.configure_parallel(2, heartbeat_timeout=1.0)
+result = trainer.fit()
+starts = default_registry().get("repro_parallel_worker_start_seconds")
+print(json.dumps({
+    "failures": trainer._parallel.total_failures,
+    "starts": [starts.count(rank=str(rank)) for rank in (0, 1)],
+    "phase1_loss": trainer.history.phase1_loss,
+    "phase2_loss": trainer.history.phase2_loss,
+    "logits_sha256": hashlib.sha256(result.logits.tobytes()).hexdigest(),
+}))
+""" % (EXPLAINABLE_EPOCHS, PREDICTIVE_EPOCHS)
+
+
+class TestSlowStart:
+    def test_importing_workers_are_not_hung(self, reference, tmp_path):
+        # An empty bytecode cache that nothing may write to makes every
+        # process compile the stdlib, numpy and scipy from source: worker
+        # start-up then takes far longer than the 1 s heartbeat timeout.
+        # The heartbeat clock starts at a worker's hello, so importing is
+        # not silence and no rank is declared hung.
+        env = dict(
+            os.environ,
+            PYTHONPATH=str(REPO / "src"),
+            PYTHONPYCACHEPREFIX=str(tmp_path / "pycache"),
+            PYTHONDONTWRITEBYTECODE="1",
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", _SLOW_START_FIT],
+            env=env,
+            cwd=tmp_path,
+            capture_output=True,
+            text=True,
+            timeout=240,
+        )
+        assert done.returncode == 0, done.stderr
+        run = json.loads(done.stdout.strip().splitlines()[-1])
+        assert run["failures"] == 0
+        assert run["starts"] == [1, 1]  # one spawn-to-hello sample per rank
+        assert run["phase1_loss"] == reference.history.phase1_loss
+        assert run["phase2_loss"] == reference.history.phase2_loss
+        assert run["logits_sha256"] == hashlib.sha256(
+            reference.logits.tobytes()
+        ).hexdigest()
 
 
 class TestDegradation:
