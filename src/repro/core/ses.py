@@ -601,7 +601,7 @@ class SESTrainer:
         self._sampler: Optional[AnchorBatchSampler] = None
         self._batch_cache = BatchCache()
         # Data-parallel mode (docs/PARALLEL.md): a WorkerSupervisor shards
-        # anchor batches across spawned processes and reduces gradients in a
+        # anchor batches across worker processes and reduces gradients in a
         # fixed order; None means single-process training.  Mutually
         # exclusive with minibatch mode.
         self._parallel = None
@@ -718,10 +718,10 @@ class SESTrainer:
 
         The shard structure (``shards`` anchor partitions, default 4) is
         fixed independently of the worker count, so the training trajectory
-        is bit-identical at any ``workers`` — including ``workers=1``, which
-        runs the identical shard computations in-process and serves as the
-        single-process parity reference.  Workers are spawned lazily at the
-        first parallel epoch.
+        is bit-identical at any ``workers``.  Every worker count, ``workers=1``
+        included, runs the shards in one-BLAS-thread worker processes forked
+        from a shared forkserver; ``workers=1`` is the parity reference.
+        Workers start lazily at the first parallel epoch.
         """
         from ..parallel import ParallelConfig, WorkerSupervisor
 

@@ -16,28 +16,37 @@ Architecture (docs/PARALLEL.md):
   trainer.
 * **The pool starts concurrently**: a worker's init payload is the first
   message on its task queue, not a ``Process`` argument, so
-  ``Process.start()`` returns at once and every rank imports and builds its
-  replica at the same time.
+  ``Process.start()`` returns as soon as the forkserver has forked the
+  worker, and every rank builds its replica at the same time.
 * **Worker failure is a first-class event**: each worker heartbeats over its
   own event pipe; the liveness watchdog declares a worker dead when its
   process exits or its pipe reaches EOF, and *hung* when heartbeats stop for
   longer than ``heartbeat_timeout`` (a hung worker is terminated — it
   cannot be trusted).  The heartbeat clock starts at the worker's
-  ``hello``: while it imports, only death counts as failure.  Failed
+  ``hello``: while it starts, only death counts as failure.  Failed
   workers restart with exponential backoff under a bounded per-rank budget;
   a rank that exhausts its budget is dropped and its shards re-dispatch
   deterministically to the survivors.  Only an empty pool raises :class:`ParallelTrainingError` — the last resort, analogous
   to ``TrainingDivergedError`` in the recovery policy.
 
-``workers=1`` runs the identical shard computations in-process through the
-same :class:`~repro.parallel.worker.ShardContext` code path — it is the
-single-process reference that the multi-worker runs are bit-compared
-against (``tests/parallel/``).
+Every worker count, ``workers=1`` included, runs on the same pool: workers
+are forked from a forkserver that has already imported the shard code and
+runs one BLAS thread (:func:`pool_context`).  The first fit in a process
+pays the forkserver's import once; later pools fork in milliseconds, and
+the ranks of a pool do not fight over the cores with BLAS threads of their
+own.  One execution path is also the parity argument: OpenBLAS rounds a
+GEMM differently at one and at two threads, so ``workers=1`` is a
+bit-identical reference for ``workers=N`` only because it runs in a
+one-thread worker too (``tests/parallel/``).
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import multiprocessing.forkserver
+import multiprocessing.resource_tracker
+import multiprocessing.util
+import os
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -49,7 +58,7 @@ import numpy as np
 from ..graph.minibatch import AnchorBatchSampler
 from ..obs.metrics import default_registry, exponential_buckets
 from .reduce import tree_sum, tree_sum_arrays
-from .worker import ShardContext, worker_main
+from .worker import worker_main
 
 __all__ = [
     "EpochOutcome",
@@ -85,9 +94,55 @@ _SHARDS_TOTAL = _METRICS.counter(
 )
 _WORKER_START_SECONDS = _METRICS.histogram(
     "repro_parallel_worker_start_seconds",
-    "Seconds from a worker's spawn to its hello (imports + replica build)",
+    "Seconds from a worker's start to its hello (replica build; the first "
+    "start in a process also waits for the forkserver's imports)",
     buckets=exponential_buckets(0.05, 2.0, 10),
 )
+
+
+# The BLAS thread pool is sized when numpy is imported, so it is chosen in
+# the forkserver's environment; every worker forked from it inherits one.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+_forkserver_reaper = None
+
+
+def pool_context():
+    """The start context of every worker pool: a preloaded forkserver.
+
+    The forkserver imports the shard code once and runs one BLAS thread;
+    the parent's environment is restored as soon as it has started, and the
+    parent's own BLAS pool, sized when it imported numpy, is untouched.
+    """
+    global _forkserver_reaper
+    multiprocessing.set_forkserver_preload(["__main__", "repro.parallel.worker"])
+    saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
+    os.environ.update({name: "1" for name in _BLAS_THREAD_VARS})
+    try:
+        multiprocessing.forkserver.ensure_running()
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+    if _forkserver_reaper is None:
+        # A negative priority runs after multiprocessing has joined the
+        # daemon workers (whose exit codes the forkserver reports) and run
+        # the finalizers that unregister their queues' semaphores.
+        _forkserver_reaper = multiprocessing.util.Finalize(
+            None, _stop_helpers, exitpriority=-100
+        )
+    return multiprocessing.get_context("forkserver")
+
+
+def _stop_helpers() -> None:
+    """Stop the forkserver and the resource tracker and reap them.
+
+    Left alone, both exit only after this process has, as orphans, and a
+    caller that waits for this process's group can still find them exiting.
+    """
+    multiprocessing.forkserver._forkserver._stop()
+    multiprocessing.resource_tracker._resource_tracker._stop()
 
 
 class ParallelTrainingError(RuntimeError):
@@ -147,7 +202,7 @@ class EpochOutcome:
 
 
 class _WorkerHandle:
-    """Supervisor-side view of one spawned worker process."""
+    """Supervisor-side view of one worker process."""
 
     def __init__(
         self, rank: int, process, task_queue, events, spawned_at: float
@@ -187,9 +242,6 @@ class WorkerSupervisor:
         self._consumed_specs: set = set()
         self._version = 0
         self._last_phase: Optional[str] = None
-        self._inline: Optional[ShardContext] = None
-        self._inline_version = -1
-        self._context = multiprocessing.get_context("spawn")
         self._handles: Dict[int, _WorkerHandle] = {}
         self._dead_ranks: set = set()
         self._restarts: Counter = Counter()
@@ -213,9 +265,7 @@ class WorkerSupervisor:
 
     @property
     def alive_workers(self) -> int:
-        """Workers currently in the pool (1 in in-process mode)."""
-        if self.config.workers == 1:
-            return 1
+        """Workers currently in the pool."""
         if not self._started:
             return self.config.workers - len(self._dead_ranks)
         return len(self._handles)
@@ -254,29 +304,12 @@ class WorkerSupervisor:
             )
             for shard_id, anchors in enumerate(batches)
         ]
-        if self.config.workers == 1:
-            payloads = self._run_epoch_inline(phase, epoch, tasks, params, constants)
-        else:
-            payloads = self._run_epoch_pool(phase, epoch, tasks, params, constants)
+        payloads = self._run_epoch_pool(phase, epoch, tasks, params, constants)
         _SHARDS_TOTAL.inc(len(tasks), phase=phase)
         return self._reduce(payloads)
 
-    def _run_epoch_inline(
-        self, phase: str, epoch: int, tasks, params, constants
-    ) -> List[Dict]:
-        """``workers=1``: the same ShardContext code path, no processes."""
-        if self._inline is None:
-            self._inline = ShardContext(self._init_factory())
-        ship = constants if self._inline_version != self._version else None
-        self._inline.begin_epoch(phase, epoch, params, self._version, ship)
-        self._inline_version = self._version
-        return [
-            self._inline.compute(phase, epoch, shard_id, anchors, extra)
-            for shard_id, anchors, extra in tasks
-        ]
-
     # ------------------------------------------------------------------
-    # Worker-pool path
+    # Worker pool
     # ------------------------------------------------------------------
     def _unconsumed_specs(self) -> List:
         return [
@@ -301,9 +334,11 @@ class WorkerSupervisor:
     def _spawn(self, rank: int) -> _WorkerHandle:
         init = dict(self._init_factory())
         init["fault_specs"] = self._unconsumed_specs()
-        task_queue = self._context.Queue()
-        events, worker_end = self._context.Pipe(duplex=False)
-        process = self._context.Process(
+        # Also restarts a forkserver that has died since the last start.
+        context = pool_context()
+        task_queue = context.Queue()
+        events, worker_end = context.Pipe(duplex=False)
+        process = context.Process(
             target=worker_main,
             args=(rank, task_queue, worker_end, self.config.heartbeat_interval),
             name=f"repro-parallel-w{rank}",
@@ -313,7 +348,7 @@ class WorkerSupervisor:
         process.start()
         # Only the child may hold the write end, or its death is no EOF here.
         worker_end.close()
-        # The queue's feeder thread ships init while the child imports.
+        # The queue's feeder thread ships init while the child starts.
         task_queue.put(("init", init))
         handle = _WorkerHandle(rank, process, task_queue, events, spawned_at)
         self._handles[rank] = handle

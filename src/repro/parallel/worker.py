@@ -10,19 +10,23 @@ nothing to reconstruct beyond the next ``epoch_begin`` message.
 
 Determinism of dropout: a shard's forward draws from a dedicated stream
 ``default_rng((seed, 0x9A71, phase, epoch, shard))`` derived from *shard*
-identity, never worker identity.  Any worker (or the supervisor's
-in-process path at ``workers=1``) computing shard ``s`` of epoch ``e``
-consumes the identical draws — across restarts, re-sharding and worker
-counts (docs/PARALLEL.md).
+identity, never worker identity.  Any worker computing shard ``s`` of
+epoch ``e`` consumes the identical draws — across restarts, re-sharding and
+worker counts (docs/PARALLEL.md).
 
-Protocol (spawn context, one task queue and one event pipe per worker):
+Workers are forked from a forkserver that preloads this module and runs one
+BLAS thread (``repro.parallel.supervisor.pool_context``), at every worker
+count: a shard's floating-point path is then the same in every worker.
+
+Protocol (one task queue and one event pipe per worker):
 
 * task queue: ``("init", init)`` first — the graph, k-hop edges, negatives,
   config, seed and fault specs — then ``("epoch", phase, epoch, params,
   version, constants_or_None)``, ``("shard", phase, epoch, shard_id,
   anchors, pooled_or_None)``, ``("stop",)``.  The init payload travels as a
   message rather than a ``Process`` argument so that ``Process.start()``
-  returns at once and the pool's workers import side by side.
+  returns once the worker is forked and the pool's workers build their
+  replicas side by side.
 * event pipe (the write end of a ``Pipe(duplex=False)``): ``("hello",
   rank, pid, t)`` once the replica is built, ``("heartbeat", rank, t)``,
   ``("result", rank, phase, epoch, shard_id, payload)``, ``("error", rank,
@@ -72,9 +76,9 @@ def shard_dropout_rng(
 class ShardContext:
     """Model replica + caches for computing per-shard losses and gradients.
 
-    Used verbatim by spawned worker processes *and* by the supervisor's
-    in-process path at ``workers=1`` — a single code path is the parity
-    argument: there is no "parallel numerics" to diverge from the reference.
+    Used by every worker process at every worker count, ``workers=1``
+    included — a single code path is the parity argument: there is no
+    "parallel numerics" to diverge from the reference.
     """
 
     def __init__(self, init: Dict) -> None:
@@ -179,7 +183,7 @@ def worker_main(
     events,
     heartbeat_interval: float,
 ) -> None:
-    """Entry point of one spawned worker process."""
+    """Entry point of one worker process."""
     try:
         _, init = task_queue.get()
         context = ShardContext(init)

@@ -3,8 +3,9 @@
 Within one environment every run is bit-identical: modes, worker counts and
 resumes are compared with exact ``==`` in-session by the parity suites.
 Across environments the floating-point path may differ in the last bits:
-OpenBLAS builds with DYNAMIC_ARCH pick their kernels by CPU.  A committed
-record is therefore checked in two parts:
+OpenBLAS builds with DYNAMIC_ARCH pick their kernels by CPU, and a GEMM
+rounds differently at different BLAS thread counts.  A committed record is
+therefore checked in two parts:
 
 * :func:`assert_within_record`: losses within :data:`LOSS_RTOL`,
   accuracies exact, in any environment;
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import platform
 from pathlib import Path
 from typing import Dict, Mapping, Optional, Sequence
@@ -38,9 +40,26 @@ def _cpu_model() -> str:
     return platform.processor() or "unknown"
 
 
+# OpenBLAS sizes its thread pool from these when numpy is imported, capped
+# by the CPUs the process may run on; a GEMM's blocking, and so its
+# rounding, depends on the thread count.
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _thread_inputs() -> str:
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API (macOS, Windows)
+        cpus = os.cpu_count() or 0
+    settings = [f"{name}={os.environ.get(name, 'unset')}" for name in _THREAD_VARS]
+    return " ".join(settings + [f"cpus={cpus}"])
+
+
 def environment_fingerprint() -> Dict[str, str]:
-    """What decides the floating-point path: numpy, scipy, the BLAS build
-    and the CPU (model plus the SIMD extensions numpy detected)."""
+    """What decides the floating-point path: numpy, scipy, the BLAS build,
+    the CPU (model plus the SIMD extensions numpy detected) and the BLAS
+    thread count (its environment settings and the CPUs this process may
+    use)."""
     try:
         config = np.show_config(mode="dicts")
     except TypeError:  # numpy < 1.26 only prints its configuration
@@ -56,6 +75,7 @@ def environment_fingerprint() -> Dict[str, str]:
             if part
         ),
         "cpu": f"{platform.machine()} {_cpu_model()} [{' '.join(simd)}]",
+        "threads": _thread_inputs(),
     }
 
 

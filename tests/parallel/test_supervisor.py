@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core import SESTrainer, fast_config
+from repro.core.ses import phase_parameters
 from repro.datasets import load_dataset
 from repro.graph import classification_split
 from repro.parallel import ParallelConfig, ParallelTrainingError, WorkerSupervisor
@@ -159,6 +160,102 @@ class TestSlowStart:
         assert run["logits_sha256"] == hashlib.sha256(
             reference.logits.tobytes()
         ).hexdigest()
+
+
+def _proc_text(pid, name):
+    return (Path("/proc") / str(pid) / name).read_bytes().decode("utf-8", "replace")
+
+
+def _parent_pid(pid):
+    # /proc/<pid>/stat: "pid (comm) state ppid ..."; comm may hold spaces.
+    return int(_proc_text(pid, "stat").rsplit(")", 1)[1].split()[1])
+
+
+@pytest.mark.skipif(not Path("/proc/self/environ").exists(), reason="needs /proc")
+class TestPoolContract:
+    """Workers run one BLAS thread and fork from one shared forkserver."""
+
+    @pytest.fixture(scope="class")
+    def pools(self):
+        trainer = SESTrainer(_graph(), _config())
+        params = [p.data.copy() for p in phase_parameters(trainer.model, "explainable")]
+        environ = dict(os.environ)
+        pools = []
+        for _ in range(2):
+            supervisor = WorkerSupervisor(
+                ParallelConfig(workers=2),
+                num_anchors=trainer.num_nodes,
+                seed=0,
+                init_factory=trainer._parallel_init,
+            )
+            try:
+                supervisor.run_epoch(
+                    "explainable", 0, supervisor.epoch_shards(), params=params,
+                    constants={"negative_pairs": trainer.negative_pairs},
+                )
+                pids = [handle.process.pid for handle in supervisor._handles.values()]
+                pools.append({
+                    pid: (_proc_text(pid, "environ").split("\0"), _parent_pid(pid))
+                    for pid in pids
+                })
+            finally:
+                supervisor.stop_workers()
+        return {"environ_before": environ, "environ_after": dict(os.environ), "pools": pools}
+
+    def test_workers_run_one_blas_thread(self, pools):
+        for pool in pools["pools"]:
+            assert len(pool) == 2
+            for environ, _ in pool.values():
+                for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+                    assert f"{name}=1" in environ, name
+
+    def test_parent_environment_unchanged(self, pools):
+        assert pools["environ_after"] == pools["environ_before"]
+
+    def test_pools_fork_from_one_forkserver(self, pools):
+        parents = {ppid for pool in pools["pools"] for _, ppid in pool.values()}
+        assert len(parents) == 1
+        assert parents != {os.getpid()}
+
+
+# Runs multiprocessing's own exit sequence, then reports whether the pool's
+# helper processes still exist.
+_EXIT_FIT = """
+import json, multiprocessing.forkserver, multiprocessing.resource_tracker, os
+import multiprocessing.util
+from repro.core import SESTrainer, fast_config
+from repro.datasets import load_dataset
+from repro.graph import classification_split
+
+graph = classification_split(load_dataset("cora", scale=0.15, seed=0), seed=0)
+config = fast_config("gcn", explainable_epochs=1, predictive_epochs=1, seed=0)
+SESTrainer(graph, config).fit(workers=1)
+helpers = [
+    multiprocessing.forkserver._forkserver._forkserver_pid,
+    multiprocessing.resource_tracker._resource_tracker._pid,
+]
+multiprocessing.util._exit_function()
+print(json.dumps([os.path.exists(f"/proc/{pid}") for pid in helpers]))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+class TestPoolLifetime:
+    def test_helpers_are_reaped_before_exit(self, tmp_path):
+        # An orphaned forkserver or resource tracker can still be exiting
+        # after its parent is gone, where a caller that waits for the
+        # parent's process group finds it.  Both must be stopped and reaped
+        # inside the interpreter's exit sequence.
+        done = subprocess.run(
+            [sys.executable, "-c", _EXIT_FIT],
+            env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
+            cwd=tmp_path,
+            capture_output=True,
+            text=True,
+            timeout=240,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout.strip().splitlines()[-1]) == [False, False]
 
 
 class TestDegradation:
