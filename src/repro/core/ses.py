@@ -593,18 +593,20 @@ class SESTrainer:
         # in-memory snapshot for rollback.
         self._completed: Dict[str, int] = {"explainable": 0, "predictive": 0}
         self._optimizers: Dict[str, Adam] = {}
-        # Minibatch mode (docs/PERF.md): a dedicated sampler partitions the
-        # node set into anchor batches; None means full-batch training, which
-        # runs one covering batch.  The batch cache holds extracted subgraphs
-        # keyed on anchor content so a covering batch extracts once, not once
-        # per epoch.
-        self._sampler: Optional[AnchorBatchSampler] = None
-        self._batch_cache = BatchCache()
-        # Data-parallel mode (docs/PARALLEL.md): a WorkerSupervisor shards
-        # anchor batches across worker processes and reduces gradients in a
-        # fixed order; None means single-process training.  Mutually
-        # exclusive with minibatch mode.
+        # Execution mode (docs/PERF.md, docs/PARALLEL.md), set by
+        # _configure alone.  One anchor sampler partitions the node set in
+        # every mode: one covering batch (full-batch; it draws nothing), B
+        # anchors per batch (minibatch) or ceil(N / shards) per shard
+        # (data-parallel, where a WorkerSupervisor runs the shards and
+        # reduces their gradients in a fixed order).  The batch cache holds
+        # extracted subgraphs keyed on anchor content so a covering batch
+        # extracts once, not once per epoch.
+        self._mode: Dict = {"mode": "full"}
+        self._sampler = AnchorBatchSampler(
+            self.num_nodes, self.num_nodes, seed=self.config.seed
+        )
         self._parallel = None
+        self._batch_cache = BatchCache()
         self._checkpoint_every = 0
         self._checkpoint_dir: Optional[Path] = None
         self._checkpoint_keep = 3
@@ -657,56 +659,101 @@ class SESTrainer:
             max_per_node=self.config.max_negatives_per_node,
         )
         self.negative_pairs = negative_edge_index(self._negative_sets)
-        # Cached phase-1 subgraphs and the constants workers hold embed the
-        # old negative pairs.
+        self._invalidate_batches()
+
+    def _invalidate_batches(self) -> None:
+        """Drop what embeds the negative pairs or pair sets: the cached
+        subgraphs, and the constants the workers hold."""
         self._batch_cache.clear()
         if self._parallel is not None:
             self._parallel.invalidate_constants()
 
     # ------------------------------------------------------------------
-    # Minibatch mode (docs/PERF.md)
+    # Execution mode: minibatch (docs/PERF.md), data-parallel (docs/PARALLEL.md)
     # ------------------------------------------------------------------
-    def _configure_minibatch(self, batch_size: int) -> None:
-        """Enable neighbor-sampled minibatch training with ``batch_size`` anchors.
+    def _configure(
+        self,
+        batch_size: Optional[int] = None,
+        workers: Optional[int] = None,
+        shards: Optional[int] = None,
+        **pool,
+    ) -> None:
+        """Set the execution mode: the one place that decides it.
 
-        The sampler draws from its own RNG stream (never the trainer's), so a
-        covering batch — ``batch_size >= num_nodes`` — consumes zero extra
+        ``batch_size=B`` selects minibatch training and ``workers=N``
+        data-parallel training over ``shards`` fixed anchor shards (default
+        4); ``pool`` holds the other :class:`~repro.parallel.ParallelConfig`
+        fields.  Neither leaves the trainer's mode as it is.  A trainer
+        takes one mode: asking again for the mode it has is a no-op (an
+        option left ``None`` matches any value), anything else raises.
+
+        The sampler draws from its own RNG stream (never the trainer's), so
+        a covering batch — ``batch_size >= num_nodes`` — consumes zero extra
         draws and reproduces the full-batch trajectory bit-for-bit.
         """
-        batch_size = int(batch_size)
-        if batch_size <= 0:
-            raise ValueError(f"batch_size must be positive, got {batch_size}")
-        if self._parallel is not None:
+        if batch_size is not None and workers is not None:
             raise ValueError(
-                "trainer is configured for parallel training (workers="
-                f"{self._parallel.config.workers}); minibatch and parallel "
-                "modes are mutually exclusive"
+                "batch_size and workers are mutually exclusive; pick "
+                "minibatch or parallel training, not both"
             )
-        if self._sampler is not None:
-            if self._sampler.batch_size != batch_size:
-                raise ValueError(
-                    f"trainer already configured with batch_size="
-                    f"{self._sampler.batch_size}; cannot switch to {batch_size}"
-                )
+        if workers is not None:
+            from ..parallel import ParallelConfig, WorkerSupervisor
+
+            options = dict(pool, shards=shards)
+            config = ParallelConfig(
+                workers=int(workers),
+                **{key: value for key, value in options.items() if value is not None},
+            )
+            requested = {"mode": "parallel", "workers": config.workers}
+            if shards is not None:
+                requested["shards"] = config.shards
+        elif batch_size is not None:
+            batch_size = int(batch_size)
+            if batch_size <= 0:
+                raise ValueError(f"batch_size must be positive, got {batch_size}")
+            requested = {"mode": "minibatch", "batch_size": batch_size}
+        else:
             return
+        if self._mode["mode"] != "full":
+            if all(self._mode.get(key) == value for key, value in requested.items()):
+                return
+            raise ValueError(
+                f"trainer is configured as {self._mode}; cannot switch to "
+                f"{requested} (one mode per trainer)"
+            )
+        if workers is None:
+            self._mode = requested
+            self._sampler = AnchorBatchSampler(
+                self.num_nodes, batch_size, seed=self.config.seed
+            )
+            self.recorder.emit(
+                "metric",
+                name="minibatch",
+                batch_size=batch_size,
+                num_batches=self._sampler.num_batches,
+            )
+            return
+        self._mode = {**requested, "shards": config.shards}
+        # ceil(N / shards) anchors per shard; the shard count may come out
+        # below the requested one on tiny graphs.
         self._sampler = AnchorBatchSampler(
-            self.num_nodes, batch_size, seed=self.config.seed
+            self.num_nodes, -(-self.num_nodes // config.shards), seed=self.config.seed
+        )
+        self._parallel = WorkerSupervisor(
+            config, init_factory=self._parallel_init, fault_plan=self.faults
         )
         self.recorder.emit(
             "metric",
-            name="minibatch",
-            batch_size=self._sampler.batch_size,
-            num_batches=self._sampler.num_batches,
+            name="parallel",
+            workers=config.workers,
+            shards=self._sampler.num_batches,
         )
 
     @property
     def batch_size(self) -> Optional[int]:
-        """Configured anchors per batch; ``None`` in full-batch mode."""
-        return None if self._sampler is None else self._sampler.batch_size
+        """Configured anchors per batch; ``None`` outside minibatch mode."""
+        return self._mode.get("batch_size")
 
-    # ------------------------------------------------------------------
-    # Data-parallel mode (docs/PARALLEL.md)
-    # ------------------------------------------------------------------
     def configure_parallel(
         self,
         workers: int,
@@ -723,57 +770,17 @@ class SESTrainer:
         from a shared forkserver; ``workers=1`` is the parity reference.
         Workers start lazily at the first parallel epoch.
         """
-        from ..parallel import ParallelConfig, WorkerSupervisor
-
-        workers = int(workers)
-        if workers <= 0:
-            raise ValueError(f"workers must be positive, got {workers}")
-        if self._sampler is not None:
-            raise ValueError(
-                f"trainer already configured with batch_size="
-                f"{self._sampler.batch_size}; minibatch and parallel modes "
-                "are mutually exclusive"
-            )
-        overrides = {
-            key: value
-            for key, value in (
-                ("shards", shards),
-                ("heartbeat_timeout", heartbeat_timeout),
-                ("max_restarts", max_restarts),
-            )
-            if value is not None
-        }
-        if self._parallel is not None:
-            current = self._parallel.config
-            if current.workers != workers or (
-                shards is not None and current.shards != int(shards)
-            ):
-                raise ValueError(
-                    f"trainer already configured with workers="
-                    f"{current.workers}, shards={current.shards}; cannot "
-                    f"switch to workers={workers}"
-                    + (f", shards={shards}" if shards is not None else "")
-                )
-            return
-        config = ParallelConfig(workers=workers, **overrides)
-        self._parallel = WorkerSupervisor(
-            config,
-            num_anchors=self.num_nodes,
-            seed=self.config.seed,
-            init_factory=self._parallel_init,
-            fault_plan=self.faults,
-        )
-        self.recorder.emit(
-            "metric",
-            name="parallel",
-            workers=config.workers,
-            shards=self._parallel.num_shards,
+        self._configure(
+            workers=workers,
+            shards=shards,
+            heartbeat_timeout=heartbeat_timeout,
+            max_restarts=max_restarts,
         )
 
     @property
     def workers(self) -> Optional[int]:
         """Configured worker count; ``None`` when not in parallel mode."""
-        return None if self._parallel is None else self._parallel.config.workers
+        return self._mode.get("workers")
 
     def _parallel_init(self) -> Dict:
         """Pickled once per worker spawn: everything a stateless shard
@@ -978,16 +985,19 @@ class SESTrainer:
     ) -> Dict:
         """One epoch of either phase in any mode; returns its epoch record.
 
-        The mode shows in two places only: :meth:`_epoch_batches` picks the
-        anchor batches, and the step rule is either an optimizer step per
-        batch (in-process) or one step on the shard gradients the
-        supervisor reduces in fixed order (data-parallel).
+        The mode shows in the step rule only: an optimizer step per anchor
+        batch (in-process), or one step on the shard gradients the
+        supervisor reduces in fixed order (data-parallel).  The batches
+        come from the one anchor sampler in every mode.
         """
         if phase == "explainable" and self.config.resample_negatives and epoch > 0:
             self._resample_negatives()
         self.model.train()
         self.watchdog.context["epoch"] = epoch
-        batches, fields = self._epoch_batches()
+        batches = self._sampler.epoch_batches()
+        fields = {"num_batches": len(batches)}
+        if "batch_size" in self._mode:
+            fields["batch_size"] = self._mode["batch_size"]
         pooled, constants = self._phase_inputs(phase, batches)
         step = self._step_per_batch if self._parallel is None else self._step_reduced
         with self.recorder.span(f"epoch{epoch}"):
@@ -996,22 +1006,6 @@ class SESTrainer:
         return self._finish_epoch(
             phase, epoch, epochs, loss, records, fields, snapshot_set, callback
         )
-
-    def _epoch_batches(self) -> Tuple[List[np.ndarray], Dict]:
-        """This epoch's anchor batches and the epoch-record fields naming them.
-
-        The supervisor's shards, the sampler's batches, or one covering
-        batch: full-batch training *is* ``batch_size=N``.
-        """
-        fields: Dict = {}
-        if self._parallel is not None:
-            batches = self._parallel.epoch_shards()
-        elif self._sampler is not None:
-            batches = self._sampler.epoch_batches()
-            fields["batch_size"] = self._sampler.batch_size
-        else:
-            batches = [np.arange(self.num_nodes, dtype=np.int64)]
-        return batches, {"num_batches": len(batches), **fields}
 
     def _phase_inputs(
         self, phase: str, batches: List[np.ndarray]
@@ -1409,15 +1403,7 @@ class SESTrainer:
         any worker count, and worker processes are shut down when fit
         returns.  Mutually exclusive with ``batch_size``.
         """
-        if batch_size is not None and workers is not None:
-            raise ValueError(
-                "batch_size and workers are mutually exclusive; pick "
-                "minibatch or parallel training, not both"
-            )
-        if batch_size is not None:
-            self._configure_minibatch(batch_size)
-        if workers is not None:
-            self.configure_parallel(workers, shards=shards)
+        self._configure(batch_size=batch_size, workers=workers, shards=shards)
         if checkpoint_every > 0:
             if checkpoint_dir is None:
                 checkpoint_dir = Path("results") / "checkpoints" / (

@@ -2,12 +2,13 @@
 
 Architecture (docs/PARALLEL.md):
 
-* The **shard structure is fixed** at configure time: ``ParallelConfig.shards``
-  anchor partitions drawn by a dedicated :class:`AnchorBatchSampler` stream.
-  Workers are stateless executors that shards are *assigned* to — the
-  assignment never influences the numbers, so the training trajectory is
-  bit-identical at any worker count, across worker restarts, and after
-  degradation to a smaller pool.
+* The **shard structure is fixed** at configure time: the trainer's anchor
+  sampler draws ``ParallelConfig.shards`` anchor partitions per epoch and
+  hands them to :meth:`WorkerSupervisor.run_epoch`.  Workers are stateless
+  executors that shards are *assigned* to — the assignment never
+  influences the numbers, so the training trajectory is bit-identical at
+  any worker count, across worker restarts, and after degradation to a
+  smaller pool.
 * Per epoch the supervisor ships the phase parameters (plus versioned
   constants) to every worker, fans the shard tasks out round-robin, collects
   per-shard gradients, and reduces them with a fixed-order tree
@@ -18,12 +19,14 @@ Architecture (docs/PARALLEL.md):
   message on its task queue, not a ``Process`` argument, so
   ``Process.start()`` returns as soon as the forkserver has forked the
   worker, and every rank builds its replica at the same time.
-* **Worker failure is a first-class event**: each worker heartbeats over its
+* **Worker failure is a first-class event**: each worker reports over its
   own event pipe; the liveness watchdog declares a worker dead when its
-  process exits or its pipe reaches EOF, and *hung* when heartbeats stop for
-  longer than ``heartbeat_timeout`` (a hung worker is terminated — it
-  cannot be trusted).  The heartbeat clock starts at the worker's
-  ``hello``: while it starts, only death counts as failure.  Failed
+  process exits or its pipe reaches EOF, and *hung* when it owes a result
+  of this epoch and has sent nothing for ``heartbeat_timeout`` (a hung
+  worker is terminated — it cannot be trusted).  The clock starts at the
+  worker's ``hello``: while it starts, only death counts as failure.
+  Injected worker faults are decided here too: the supervisor takes them
+  from the fault plan as it dispatches a shard.  Failed
   workers restart with exponential backoff under a bounded per-rank budget;
   a rank that exhausts its budget is dropped and its shards re-dispatch
   deterministically to the survivors.  Only an empty pool raises :class:`ParallelTrainingError` — the last resort, analogous
@@ -47,6 +50,7 @@ import multiprocessing.forkserver
 import multiprocessing.resource_tracker
 import multiprocessing.util
 import os
+import sys
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -55,7 +59,6 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..graph.minibatch import AnchorBatchSampler
 from ..obs.metrics import default_registry, exponential_buckets
 from .reduce import tree_sum, tree_sum_arrays
 from .worker import worker_main
@@ -82,7 +85,7 @@ _FAILURES_TOTAL = _METRICS.counter(
 )
 _HEARTBEAT_AGE = _METRICS.gauge(
     "repro_parallel_heartbeat_age_seconds",
-    "Seconds since each worker's last heartbeat",
+    "Seconds since each busy worker's last message",
 )
 _REDUCE_SECONDS = _METRICS.histogram(
     "repro_parallel_reduce_seconds",
@@ -100,6 +103,9 @@ _WORKER_START_SECONDS = _METRICS.histogram(
 )
 
 
+# How often the collect loop wakes to run the liveness watchdog.
+_POLL_SECONDS = 0.1
+
 # The BLAS thread pool is sized when numpy is imported, so it is chosen in
 # the forkserver's environment; every worker forked from it inherits one.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -109,14 +115,19 @@ _forkserver_reaper = None
 def pool_context():
     """The start context of every worker pool: a preloaded forkserver.
 
-    The forkserver imports the shard code once and runs one BLAS thread;
-    the parent's environment is restored as soon as it has started, and the
-    parent's own BLAS pool, sized when it imported numpy, is untouched.
+    The forkserver imports the shard code once and runs one BLAS thread.
+    It starts with the parent's ``sys.path`` as ``PYTHONPATH``: Python 3.11's
+    forkserver ignores the ``sys_path`` it is handed, so without it a parent
+    that put ``repro`` on its path by hand would preload nothing, and every
+    worker would import numpy and ``repro`` itself.  The parent's environment
+    is restored as soon as the forkserver has started, and the parent's own
+    BLAS pool, sized when it imported numpy, is untouched.
     """
     global _forkserver_reaper
     multiprocessing.set_forkserver_preload(["__main__", "repro.parallel.worker"])
-    saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
+    saved = {name: os.environ.get(name) for name in (*_BLAS_THREAD_VARS, "PYTHONPATH")}
     os.environ.update({name: "1" for name in _BLAS_THREAD_VARS})
+    os.environ["PYTHONPATH"] = os.pathsep.join(sys.path)
     try:
         multiprocessing.forkserver.ensure_running()
     finally:
@@ -165,7 +176,6 @@ class ParallelConfig:
 
     workers: int
     shards: int = 4
-    heartbeat_interval: float = 0.2
     heartbeat_timeout: float = 10.0
     max_restarts: int = 2
     restart_backoff: float = 0.05
@@ -175,12 +185,9 @@ class ParallelConfig:
             raise ValueError(f"workers must be positive, got {self.workers}")
         if self.shards <= 0:
             raise ValueError(f"shards must be positive, got {self.shards}")
-        if self.heartbeat_interval <= 0:
-            raise ValueError("heartbeat_interval must be positive")
-        if self.heartbeat_timeout <= self.heartbeat_interval:
+        if self.heartbeat_timeout <= 0:
             raise ValueError(
-                "heartbeat_timeout must exceed heartbeat_interval "
-                f"({self.heartbeat_timeout} <= {self.heartbeat_interval})"
+                f"heartbeat_timeout must be positive, got {self.heartbeat_timeout}"
             )
         if self.max_restarts < 0:
             raise ValueError("max_restarts must be >= 0")
@@ -212,7 +219,10 @@ class _WorkerHandle:
         self.task_queue = task_queue
         self.events = events
         self.spawned_at = spawned_at
-        # None until the worker's hello: the heartbeat clock starts there.
+        # None until the worker's hello: the silence clock starts there.
+        # Afterwards, the later of its last message and the last shard sent
+        # to it: an idle rank owes nothing, so its silence before new work
+        # arrives does not count.
         self.last_seen: Optional[float] = None
         self.eof = False
         self.constants_version = -1
@@ -224,22 +234,12 @@ class WorkerSupervisor:
     def __init__(
         self,
         config: ParallelConfig,
-        num_anchors: int,
-        seed: int,
         init_factory: Callable[[], Dict],
         fault_plan=None,
     ) -> None:
         self.config = config
-        self.seed = int(seed)
         self._init_factory = init_factory
-        # ceil(N / shards) anchors per shard; the sampler's dedicated RNG
-        # stream keeps shard draws out of the trainer's generator exactly as
-        # in minibatch mode.  num_shards (== sampler.num_batches) may come
-        # out below the requested count on tiny graphs.
-        batch_size = -(-int(num_anchors) // config.shards)
-        self.sampler = AnchorBatchSampler(num_anchors, batch_size, seed=self.seed)
-        self._worker_specs = list(fault_plan.worker_specs()) if fault_plan else []
-        self._consumed_specs: set = set()
+        self._faults = fault_plan
         self._version = 0
         self._last_phase: Optional[str] = None
         self._handles: Dict[int, _WorkerHandle] = {}
@@ -259,20 +259,11 @@ class WorkerSupervisor:
     # Introspection
     # ------------------------------------------------------------------
     @property
-    def num_shards(self) -> int:
-        """Fixed shard count (the reduction width)."""
-        return self.sampler.num_batches
-
-    @property
     def alive_workers(self) -> int:
         """Workers currently in the pool."""
         if not self._started:
             return self.config.workers - len(self._dead_ranks)
         return len(self._handles)
-
-    def epoch_shards(self) -> List[np.ndarray]:
-        """This epoch's anchor shards (deterministic sampler stream)."""
-        return self.sampler.epoch_batches()
 
     def invalidate_constants(self) -> None:
         """Force constants to re-ship (negative resample, snapshot restore)."""
@@ -311,36 +302,15 @@ class WorkerSupervisor:
     # ------------------------------------------------------------------
     # Worker pool
     # ------------------------------------------------------------------
-    def _unconsumed_specs(self) -> List:
-        return [
-            spec
-            for index, spec in enumerate(self._worker_specs)
-            if index not in self._consumed_specs
-        ]
-
-    def _consume_worker_faults(self, rank: int, phase: str, epoch: int) -> None:
-        """Mark worker faults plausibly responsible for this failure as spent.
-
-        The restarted worker receives only still-unconsumed specs, so a
-        one-shot ``kill_worker``/``hang_worker`` cannot re-fire after the
-        recovery it was injected to exercise.
-        """
-        for index, spec in enumerate(self._worker_specs):
-            if index in self._consumed_specs or spec.rank != rank:
-                continue
-            if spec.phase in ("any", phase) and spec.epoch <= epoch:
-                self._consumed_specs.add(index)
-
     def _spawn(self, rank: int) -> _WorkerHandle:
-        init = dict(self._init_factory())
-        init["fault_specs"] = self._unconsumed_specs()
+        init = self._init_factory()
         # Also restarts a forkserver that has died since the last start.
         context = pool_context()
         task_queue = context.Queue()
         events, worker_end = context.Pipe(duplex=False)
         process = context.Process(
             target=worker_main,
-            args=(rank, task_queue, worker_end, self.config.heartbeat_interval),
+            args=(rank, task_queue, worker_end),
             name=f"repro-parallel-w{rank}",
             daemon=True,
         )
@@ -370,6 +340,19 @@ class WorkerSupervisor:
         ship = constants if handle.constants_version != self._version else None
         handle.task_queue.put(("epoch", phase, epoch, params, self._version, ship))
         handle.constants_version = self._version
+
+    def _send_shard(
+        self, handle: _WorkerHandle, phase: str, epoch: int, shard_id, anchors, extra
+    ) -> None:
+        """Dispatch one shard, with any worker fault the plan has due for it."""
+        fault = (
+            self._faults.take_worker_fault(handle.rank, phase, epoch)
+            if self._faults
+            else None
+        )
+        handle.task_queue.put(("shard", phase, epoch, shard_id, anchors, extra, fault))
+        if handle.last_seen is not None:
+            handle.last_seen = time.monotonic()
 
     def _terminate(self, handle: _WorkerHandle) -> None:
         process = handle.process
@@ -403,13 +386,11 @@ class WorkerSupervisor:
         for index, (shard_id, anchors, extra) in enumerate(tasks):
             rank = ranks[index % len(ranks)]
             owner[shard_id] = rank
-            self._handles[rank].task_queue.put(
-                ("shard", phase, epoch, shard_id, anchors, extra)
-            )
-        poll = min(self.config.heartbeat_interval, 0.1)
+            self._send_shard(self._handles[rank], phase, epoch, shard_id, anchors, extra)
         while len(results) < len(tasks):
-            self._drain_events(phase, epoch, results, timeout=poll)
+            self._drain_events(phase, epoch, results, timeout=_POLL_SECONDS)
             now = time.monotonic()
+            busy = {owner[shard_id] for shard_id in owner if shard_id not in results}
             for rank in list(self._handles):
                 handle = self._handles[rank]
                 if handle.eof or not handle.process.is_alive():
@@ -418,8 +399,8 @@ class WorkerSupervisor:
                         tasks, params, constants,
                     )
                     continue
-                if handle.last_seen is None:
-                    continue  # still starting: only death counts
+                if handle.last_seen is None or rank not in busy:
+                    continue  # starting or idle: only death counts
                 age = now - handle.last_seen
                 _HEARTBEAT_AGE.set(age, rank=str(rank))
                 if age > self.config.heartbeat_timeout:
@@ -516,7 +497,6 @@ class WorkerSupervisor:
         _FAILURES_TOTAL.inc(kind=kind)
         _WORKERS_ALIVE.set(len(self._handles))
         self.total_failures += 1
-        self._consume_worker_faults(rank, phase, epoch)
         orphans = [
             (shard_id, anchors, extra)
             for shard_id, anchors, extra in tasks
@@ -536,9 +516,7 @@ class WorkerSupervisor:
             self._send_epoch(replacement, phase, epoch, params, constants)
             for shard_id, anchors, extra in orphans:
                 owner[shard_id] = rank
-                replacement.task_queue.put(
-                    ("shard", phase, epoch, shard_id, anchors, extra)
-                )
+                self._send_shard(replacement, phase, epoch, shard_id, anchors, extra)
             return
         # Budget exhausted: degrade to a smaller pool.  Shard contents and
         # reduction order are worker-independent, so the numbers do not move.
@@ -554,8 +532,8 @@ class WorkerSupervisor:
         for index, (shard_id, anchors, extra) in enumerate(orphans):
             new_rank = survivors[index % len(survivors)]
             owner[shard_id] = new_rank
-            self._handles[new_rank].task_queue.put(
-                ("shard", phase, epoch, shard_id, anchors, extra)
+            self._send_shard(
+                self._handles[new_rank], phase, epoch, shard_id, anchors, extra
             )
 
     # ------------------------------------------------------------------

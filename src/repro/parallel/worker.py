@@ -21,12 +21,14 @@ count: a shard's floating-point path is then the same in every worker.
 Protocol (one task queue and one event pipe per worker):
 
 * task queue: ``("init", init)`` first — the graph, k-hop edges, negatives,
-  config, seed and fault specs — then ``("epoch", phase, epoch, params,
-  version, constants_or_None)``, ``("shard", phase, epoch, shard_id,
-  anchors, pooled_or_None)``, ``("stop",)``.  The init payload travels as a
-  message rather than a ``Process`` argument so that ``Process.start()``
-  returns once the worker is forked and the pool's workers build their
-  replicas side by side.
+  config and seed — then ``("epoch", phase, epoch, params, version,
+  constants_or_None)``, ``("shard", phase, epoch, shard_id, anchors,
+  pooled_or_None, fault_or_None)``, ``("stop",)``.  The init payload travels
+  as a message rather than a ``Process`` argument so that
+  ``Process.start()`` returns once the worker is forked and the pool's
+  workers build their replicas side by side.  ``fault`` is the kind of an
+  injected worker fault (``kill_worker``/``hang_worker``) that the
+  supervisor took from its fault plan for this shard.
 * event pipe (the write end of a ``Pipe(duplex=False)``): ``("hello",
   rank, pid, t)`` once the replica is built, ``("heartbeat", rank, t)``,
   ``("result", rank, phase, epoch, shard_id, payload)``, ``("error", rank,
@@ -34,24 +36,27 @@ Protocol (one task queue and one event pipe per worker):
   mid-write wedges only its own channel; the supervisor reads its EOF as
   the rank's death.
 
-Heartbeats are emitted from the main loop — on idle queue timeouts and at
-task start — so a worker hung inside a task (or by ``hang_worker``) goes
-silent and only the supervisor's liveness watchdog can catch it.
+A worker sends a heartbeat when it loads an epoch and when it starts a
+shard, and otherwise blocks on its task queue: it says nothing while idle,
+and a worker hung inside a task goes silent while it owes a result, which
+is what the supervisor's liveness watchdog looks for.  A side thread only
+watches the event pipe, and ends the worker when the supervisor's end of
+it closes, so a worker never outlives a supervisor that was killed.
 """
 
 from __future__ import annotations
 
 import os
-import queue as queue_module
+import threading
 import time
 import traceback
+from multiprocessing.connection import wait as wait_channels
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..core.ses import SESModel, batch_backward, cached_batch, phase_parameters
 from ..graph.minibatch import BatchCache
-from ..resilience.faults import WORKER_KINDS, FaultSpec
 from ..utils import make_rng
 
 __all__ = ["ShardContext", "shard_dropout_rng", "worker_main"]
@@ -160,42 +165,26 @@ class ShardContext:
         ]
 
 
-def _due_fault(
-    specs: Sequence[FaultSpec],
-    fired: set,
-    phase: str,
-    epoch: int,
-    rank: int,
-) -> Optional[FaultSpec]:
-    """First unfired worker fault due at this (phase, epoch) for this rank."""
-    for index, spec in enumerate(specs):
-        if index in fired or spec.kind not in WORKER_KINDS:
-            continue
-        if spec.rank == rank and spec.matches(phase, epoch):
-            fired.add(index)
-            return spec
-    return None
+def _exit_with_supervisor(events) -> None:
+    """End this worker once the supervisor's read end of its pipe closes.
+
+    A write-only pipe end polls ready only on error, and a pipe whose
+    reader is gone reports one: that is the supervisor's death (or its
+    teardown of this rank), seen without a message in either direction.
+    """
+    wait_channels([events])
+    os._exit(0)
 
 
-def worker_main(
-    rank: int,
-    task_queue,
-    events,
-    heartbeat_interval: float,
-) -> None:
+def worker_main(rank: int, task_queue, events) -> None:
     """Entry point of one worker process."""
+    threading.Thread(target=_exit_with_supervisor, args=(events,), daemon=True).start()
     try:
         _, init = task_queue.get()
         context = ShardContext(init)
-        specs: List[FaultSpec] = list(init.get("fault_specs", ()))
-        fired: set = set()
         events.send(("hello", rank, os.getpid(), time.time()))
         while True:
-            try:
-                message = task_queue.get(timeout=heartbeat_interval)
-            except queue_module.Empty:
-                events.send(("heartbeat", rank, time.time()))
-                continue
+            message = task_queue.get()
             kind = message[0]
             if kind == "stop":
                 return
@@ -204,14 +193,13 @@ def worker_main(
                 context.begin_epoch(phase, epoch, params, version, constants)
                 events.send(("heartbeat", rank, time.time()))
                 continue
-            _, phase, epoch, shard_id, anchors, pooled = message
-            fault = _due_fault(specs, fired, phase, epoch, rank)
-            if fault is not None and fault.kind == "kill_worker":
+            _, phase, epoch, shard_id, anchors, pooled, fault = message
+            if fault == "kill_worker":
                 # Hard exit, no cleanup: the closest stand-in for an OOM kill.
                 os._exit(17)
-            if fault is not None and fault.kind == "hang_worker":
-                # Alive but silent: stop heartbeating and never answer, so
-                # only the supervisor's liveness watchdog can detect it.
+            if fault == "hang_worker":
+                # Alive but silent while it owes a result: only the
+                # supervisor's liveness watchdog can detect it.
                 while True:
                     time.sleep(3600)
             events.send(("heartbeat", rank, time.time()))

@@ -18,9 +18,12 @@ the field) deterministic ways to break training on purpose:
   - ``kill_worker@explainable:2:1`` — parallel worker of rank 1 dies
     (``os._exit``) at the start of its first shard of explainable epoch 2
     (exercises the supervisor's dead-worker restart path — docs/PARALLEL.md);
-  - ``hang_worker@predictive:0:0`` — worker 0 stops responding (sleeps
-    without heartbeating) instead of dying, so only the liveness watchdog
-    can catch it.
+  - ``hang_worker@predictive:0:0`` — worker 0 stays alive but never answers
+    its first shard of predictive epoch 0, so only the liveness watchdog
+    (a busy rank that sends nothing) can catch it.
+
+  The supervisor takes worker specs when it dispatches a shard and sends
+  the kind with the shard, so the worker itself never reads the plan.
 
   Malformed specs raise a one-line :class:`ValueError` that names the
   offending token — a typo in ``REPRO_FAULTS`` should read as a usage
@@ -178,30 +181,31 @@ class FaultPlan:
         """Build a plan from ``REPRO_FAULTS`` (empty plan when unset)."""
         return cls.parse((env if env is not None else os.environ).get("REPRO_FAULTS"))
 
-    def worker_specs(self) -> List[FaultSpec]:
-        """The worker-targeted (kill/hang) specs, in declaration order.
-
-        The parallel supervisor ships these to spawned workers and consumes
-        them on its side when the corresponding failure is observed, so a
-        restarted worker is not immediately re-injured by the same spec
-        (see ``repro.parallel.supervisor``).
-        """
-        return [spec for spec in self.specs if spec.kind in WORKER_KINDS]
-
     # ------------------------------------------------------------------
-    def _take(self, kind: str, phase: str, epoch: int) -> Optional[FaultSpec]:
+    def _take(
+        self, kinds: Sequence[str], phase: str, epoch: int, rank: Optional[int] = None
+    ) -> Optional[FaultSpec]:
         for index, spec in enumerate(self.specs):
-            key = (index,)
-            if key in self._fired or spec.kind != kind:
+            if index in self._fired or spec.kind not in kinds or spec.rank != rank:
                 continue
             if spec.matches(phase, epoch):
-                self._fired.add(key)
+                self._fired.add(index)
                 return spec
         return None
 
+    def take_worker_fault(self, rank: int, phase: str, epoch: int) -> Optional[str]:
+        """The kind of the first unfired worker fault due for this shard.
+
+        The parallel supervisor calls this as it dispatches each shard to
+        ``rank`` and sends the kind along; the spec is then spent, so the
+        restarted worker that picks the shard up again is not re-injured.
+        """
+        spec = self._take(WORKER_KINDS, phase, epoch, rank) if self else None
+        return None if spec is None else spec.kind
+
     def check_crash(self, phase: str, epoch: int) -> None:
         """Raise :class:`SimulatedCrash` if a crash fault is due here."""
-        if self and self._take("crash", phase, epoch) is not None:
+        if self and self._take(("crash",), phase, epoch) is not None:
             raise SimulatedCrash(phase, epoch)
 
     @contextmanager
@@ -215,7 +219,7 @@ class FaultPlan:
         like an organic blow-up would, which is the point: downstream, the
         watchdog and the recovery policy cannot tell the difference.
         """
-        spec = self._take("nan", phase, epoch) if self else None
+        spec = self._take(("nan",), phase, epoch) if self else None
         if spec is None:
             yield
             return

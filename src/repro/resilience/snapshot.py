@@ -135,24 +135,14 @@ def _split_optimizer_state(state: Mapping) -> Tuple[Dict, Dict[str, List[np.ndar
 def _execution(trainer) -> Dict:
     """The trainer's execution record: mode, its sizes and its sampler state.
 
-    Minibatch and parallel runs carry an anchor sampler whose RNG stream and
-    cursor must resume bit-identically alongside the trainer's generator.
+    Minibatch and parallel runs draw their anchor batches from a sampler
+    whose RNG stream and cursor must resume bit-identically alongside the
+    trainer's generator; full-batch's one covering batch draws nothing.
     """
-    runner, sampler = trainer._parallel, trainer._sampler
-    if runner is not None:
-        return {
-            "mode": "parallel",
-            "workers": runner.config.workers,
-            "shards": runner.config.shards,
-            "sampler": runner.sampler.state_dict(),
-        }
-    if sampler is not None:
-        return {
-            "mode": "minibatch",
-            "batch_size": sampler.batch_size,
-            "sampler": sampler.state_dict(),
-        }
-    return {"mode": "full"}
+    record = dict(trainer._mode)
+    if record["mode"] != "full":
+        record["sampler"] = trainer._sampler.state_dict()
+    return record
 
 
 def _describe_execution(sizes: Mapping) -> str:
@@ -294,26 +284,18 @@ def restore_training_snapshot(
 
     execution = manifest["execution"]
     sizes = {k: v for k, v in execution.items() if k != "sampler"}
-    own = {k: v for k, v in _execution(trainer).items() if k != "sampler"}
-    # A trainer built without a mode adopts the snapshot's; any other
+    # A full-batch trainer adopts the snapshot's record; any other
     # difference would resume a different trajectory.
-    if own["mode"] == "full" and sizes["mode"] == "minibatch":
-        trainer._configure_minibatch(int(sizes["batch_size"]))
-    elif own["mode"] == "full" and sizes["mode"] == "parallel":
-        trainer.configure_parallel(int(sizes["workers"]), shards=int(sizes["shards"]))
-    elif own != sizes:
+    if trainer._mode["mode"] == "full":
+        trainer._configure(**{k: v for k, v in sizes.items() if k != "mode"})
+    if trainer._mode != sizes:
         raise CheckpointError(
             f"snapshot is from a {_describe_execution(sizes)}; trainer is "
-            f"configured for a {_describe_execution(own)} — resuming it that "
-            "way would not reproduce either trajectory"
+            f"configured for a {_describe_execution(trainer._mode)} — resuming "
+            "it that way would not reproduce either trajectory"
         )
-    if sizes["mode"] == "minibatch":
+    if "sampler" in execution:
         trainer._sampler.load_state_dict(execution["sampler"])
-    elif sizes["mode"] == "parallel":
-        trainer._parallel.sampler.load_state_dict(execution["sampler"])
-        # Restored negative pairs / pair sets differ from what the workers
-        # hold; force a constants re-ship on the next epoch.
-        trainer._parallel.invalidate_constants()
 
     trainer.model.load_state_dict(snapshot.section("model"))
 
@@ -335,10 +317,9 @@ def restore_training_snapshot(
         optimizer.load_state_dict(state)
 
     restore_rng_state(trainer.rng, manifest["rng_state"])
-    # Restored negative/pair sets may not match previously cached subgraphs.
-    cache = getattr(trainer, "_batch_cache", None)
-    if cache is not None:
-        cache.clear()
+    # Restored negative/pair sets may not match previously cached subgraphs
+    # or the constants the workers hold.
+    trainer._invalidate_batches()
     trainer._completed = {k: int(v) for k, v in manifest["completed"].items()}
     trainer._best_val = float(manifest["best_val"])
     trainer._best_readout = manifest["best_readout"]

@@ -96,7 +96,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.workers is not None and args.batch_size is not None:
+        parser.error("--workers and --batch-size are mutually exclusive")
+    if args.workers is None:
+        for flag, value in (
+            ("--shards", args.shards),
+            ("--heartbeat-timeout", args.heartbeat_timeout),
+            ("--max-worker-restarts", args.max_worker_restarts),
+        ):
+            if value is not None:
+                parser.error(f"{flag} applies only with --workers")
     if args.telemetry:
         os.environ["REPRO_TELEMETRY"] = "1"
 
@@ -156,9 +167,6 @@ def main(argv=None) -> int:
         graph, config, recorder=recorder, recovery=recovery, faults=faults
     )
     if args.workers is not None:
-        if args.batch_size is not None:
-            parser_error = build_parser()
-            parser_error.error("--workers and --batch-size are mutually exclusive")
         trainer.configure_parallel(
             args.workers,
             shards=args.shards,
@@ -185,9 +193,9 @@ def main(argv=None) -> int:
         print(f"minibatch: batch_size={trainer.batch_size} "
               f"({trainer._sampler.num_batches} batches/epoch)")
     if trainer.workers is not None:
-        runner = trainer._parallel
-        print(f"parallel: workers={runner.config.workers} "
-              f"shards={runner.num_shards} restarts={runner.total_restarts}")
+        print(f"parallel: workers={trainer.workers} "
+              f"shards={trainer._sampler.num_batches} "
+              f"restarts={trainer._parallel.total_restarts}")
     print(f"epochs: explainable={completed['explainable']} "
           f"predictive={completed['predictive']}")
     if trainer.recovery is not None and trainer.recovery.total_rollbacks:

@@ -130,14 +130,14 @@ class TestSmallBatchTraining:
     def test_batch_size_property(self):
         trainer = SESTrainer(_graph(), _config())
         assert trainer.batch_size is None
-        trainer._configure_minibatch(SMALL_BATCH)
+        trainer._configure(batch_size=SMALL_BATCH)
         assert trainer.batch_size == SMALL_BATCH
 
     def test_switching_batch_size_raises(self):
         trainer = SESTrainer(_graph(), _config())
-        trainer._configure_minibatch(SMALL_BATCH)
+        trainer._configure(batch_size=SMALL_BATCH)
         with pytest.raises(ValueError):
-            trainer._configure_minibatch(SMALL_BATCH + 1)
+            trainer._configure(batch_size=SMALL_BATCH + 1)
 
     def test_invalid_batch_size_raises(self):
         with pytest.raises(ValueError):

@@ -60,11 +60,7 @@ def _family(registry, name):
 
 
 def _batches_per_epoch(trainer):
-    if trainer._parallel is not None:
-        return trainer._parallel.num_shards
-    if trainer._sampler is not None:
-        return trainer._sampler.num_batches
-    return 1
+    return trainer._sampler.num_batches
 
 
 def _losses(history):

@@ -81,7 +81,7 @@ class TestCommittedBaseline:
         trainer, result = single_worker
         record = json.loads(BASELINE_RECORD.read_text())
         assert record["workers"] == 1
-        assert trainer._parallel.num_shards == record["shards"]
+        assert trainer._sampler.num_batches == record["shards"]
         history = trainer.history
         assert_within_record(
             record,

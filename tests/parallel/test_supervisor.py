@@ -8,8 +8,10 @@ recovery bookkeeping and that recovery never moves the numbers.
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -62,8 +64,8 @@ class TestConfigValidation:
         [
             {"workers": 0},
             {"workers": 2, "shards": 0},
-            {"workers": 2, "heartbeat_interval": 0.0},
-            {"workers": 2, "heartbeat_interval": 1.0, "heartbeat_timeout": 0.5},
+            {"workers": 2, "heartbeat_timeout": 0.0},
+            {"workers": 2, "heartbeat_timeout": -1.0},
             {"workers": 2, "max_restarts": -1},
             {"workers": 2, "restart_backoff": -0.1},
         ],
@@ -78,7 +80,7 @@ class TestConfigValidation:
 
     def test_configure_parallel_after_minibatch_rejected(self):
         trainer = SESTrainer(_graph(), _config())
-        trainer._configure_minibatch(64)
+        trainer._configure(batch_size=64)
         with pytest.raises(ValueError):
             trainer.configure_parallel(2)
 
@@ -183,14 +185,12 @@ class TestPoolContract:
         pools = []
         for _ in range(2):
             supervisor = WorkerSupervisor(
-                ParallelConfig(workers=2),
-                num_anchors=trainer.num_nodes,
-                seed=0,
-                init_factory=trainer._parallel_init,
+                ParallelConfig(workers=2), init_factory=trainer._parallel_init
             )
             try:
                 supervisor.run_epoch(
-                    "explainable", 0, supervisor.epoch_shards(), params=params,
+                    "explainable", 0, np.array_split(np.arange(trainer.num_nodes), 4),
+                    params=params,
                     constants={"negative_pairs": trainer.negative_pairs},
                 )
                 pids = [handle.process.pid for handle in supervisor._handles.values()]
@@ -258,6 +258,90 @@ class TestPoolLifetime:
         assert json.loads(done.stdout.strip().splitlines()[-1]) == [False, False]
 
 
+# Puts the source tree on sys.path by hand, as a script run without
+# PYTHONPATH does, fits once and reports whether the forkserver has numpy.
+_PRELOAD_FIT = """
+import json, multiprocessing.forkserver, sys
+sys.path.insert(0, %r)
+from repro.core import SESTrainer, fast_config
+from repro.datasets import load_dataset
+from repro.graph import classification_split
+
+graph = classification_split(load_dataset("cora", scale=0.15, seed=0), seed=0)
+config = fast_config("gcn", explainable_epochs=1, predictive_epochs=1, seed=0)
+SESTrainer(graph, config).fit(workers=2)
+pid = multiprocessing.forkserver._forkserver._forkserver_pid
+with open(f"/proc/{pid}/maps") as maps:
+    print(json.dumps("_multiarray_umath" in maps.read()))
+""" % str(REPO / "src")
+
+
+# Runs one parallel epoch, writes the pool's pids to argv[1] and dies with
+# SIGKILL: no finalizer, atexit hook or daemon-child cleanup runs.
+_KILLED_SUPERVISOR = """
+import json, multiprocessing.forkserver, os, signal, sys
+from repro.core import SESTrainer, fast_config
+from repro.datasets import load_dataset
+from repro.graph import classification_split
+
+graph = classification_split(load_dataset("cora", scale=0.15, seed=0), seed=0)
+trainer = SESTrainer(graph, fast_config("gcn", explainable_epochs=1, seed=0))
+trainer.configure_parallel(2)
+trainer.train_explainable()
+pids = [handle.process.pid for handle in trainer._parallel._handles.values()]
+pids.append(multiprocessing.forkserver._forkserver._forkserver_pid)
+with open(sys.argv[1], "w") as out:
+    json.dump(pids, out)
+os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="needs /proc")
+class TestPoolProcesses:
+    def test_forkserver_preloads_without_pythonpath(self, tmp_path):
+        # Python 3.11's forkserver ignores the sys_path it is handed; the
+        # pool exports the parent's sys.path while it starts the server.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        done = subprocess.run(
+            [sys.executable, "-c", _PRELOAD_FIT],
+            env=env,
+            cwd=tmp_path,
+            capture_output=True,
+            text=True,
+            timeout=240,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout.strip().splitlines()[-1]) is True
+
+    def test_pool_exits_with_a_killed_supervisor(self, tmp_path):
+        # Idle workers block on their task queues without a timeout; each
+        # still ends when the supervisor's end of its event pipe closes, and
+        # the forkserver follows once no worker holds it.
+        pid_file = tmp_path / "pids.json"
+        child = subprocess.Popen(
+            [sys.executable, "-c", _KILLED_SUPERVISOR, str(pid_file)],
+            env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
+            cwd=tmp_path,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+        )
+        child.wait(timeout=240)
+        pids = json.loads(pid_file.read_text())
+        deadline = time.monotonic() + 10.0
+        alive = pids
+        try:
+            while alive and time.monotonic() < deadline:
+                time.sleep(0.1)
+                alive = [pid for pid in pids if Path(f"/proc/{pid}").exists()]
+            assert alive == []
+        finally:
+            for pid in alive:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except OSError:
+                    pass
+
+
 class TestDegradation:
     def test_budget_exhaustion_degrades_pool_bit_identically(self, reference):
         # max_restarts=0: the first kill permanently drops rank 1 and its
@@ -291,15 +375,13 @@ class TestWorkerErrors:
         # A broken init makes ShardContext's constructor raise inside the
         # worker; the supervisor re-raises with the shipped traceback.
         config = ParallelConfig(workers=2, shards=2)
-        supervisor = WorkerSupervisor(
-            config, num_anchors=8, seed=0, init_factory=lambda: {"bad": 1}
-        )
+        supervisor = WorkerSupervisor(config, init_factory=lambda: {"bad": 1})
         try:
             with pytest.raises(ParallelTrainingError, match="Traceback"):
                 supervisor.run_epoch(
                     "explainable",
                     0,
-                    supervisor.epoch_shards(),
+                    np.array_split(np.arange(8), 2),
                     params=[],
                     constants={"negative_pairs": {}},
                 )
@@ -308,8 +390,6 @@ class TestWorkerErrors:
 
     def test_stop_workers_is_idempotent(self):
         config = ParallelConfig(workers=2, shards=2)
-        supervisor = WorkerSupervisor(
-            config, num_anchors=8, seed=0, init_factory=lambda: {"bad": 1}
-        )
+        supervisor = WorkerSupervisor(config, init_factory=lambda: {"bad": 1})
         supervisor.stop_workers()  # never started: no-op
         supervisor.stop_workers()

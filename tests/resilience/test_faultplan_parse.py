@@ -95,10 +95,15 @@ class TestAccepted:
     def test_worker_specs_filters_and_preserves_order(self):
         plan = FaultPlan.parse(
             "crash@explainable:1,kill_worker@any:0:1,"
-            "nan@predictive:2,hang_worker@explainable:3:0"
+            "nan@explainable:0,hang_worker@explainable:0:1"
         )
-        kinds = [spec.kind for spec in plan.worker_specs()]
-        assert kinds == ["kill_worker", "hang_worker"]
+        # Crash and NaN specs are never worker faults; the worker faults due
+        # for a rank come out in declaration order, each once.
+        assert plan.take_worker_fault(0, "explainable", 0) is None
+        assert plan.take_worker_fault(1, "explainable", 1) is None
+        assert plan.take_worker_fault(1, "explainable", 0) == "kill_worker"
+        assert plan.take_worker_fault(1, "explainable", 0) == "hang_worker"
+        assert plan.take_worker_fault(1, "explainable", 0) is None
 
     def test_whitespace_tolerated(self):
         spec = FaultSpec.parse("  kill_worker @ explainable : 2 : 1  ".replace(" ", ""))

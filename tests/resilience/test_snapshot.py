@@ -277,3 +277,41 @@ class TestMonitorState:
         fresh = SESTrainer(small_cora, _config())
         fresh.restore(snapshot)
         assert fresh.watchdog.anomalies == [] and fresh.watchdog.suppressed == 0
+
+
+class TestExecutionRecord:
+    """Format v2's manifest ``execution`` record, literally, in each mode.
+
+    ``sampler`` is the anchor sampler's stream and cursor; full-batch's one
+    covering batch draws nothing, so its record carries none.
+    """
+
+    SAMPLER_KEYS = {"num_anchors", "batch_size", "seed", "epochs_sampled", "rng_state"}
+
+    def _written(self, trainer, tmp_path):
+        path = trainer.save_snapshot_to(tmp_path)
+        return load_snapshot(path).manifest["execution"]
+
+    def _check_sampler(self, execution, num_anchors, batch_size):
+        sampler = execution.pop("sampler")
+        assert set(sampler) == self.SAMPLER_KEYS
+        assert (sampler["num_anchors"], sampler["batch_size"]) == (num_anchors, batch_size)
+        assert (sampler["seed"], sampler["epochs_sampled"]) == (0, 0)
+
+    def test_full_batch(self, small_cora, tmp_path):
+        trainer = SESTrainer(small_cora, _config())
+        assert self._written(trainer, tmp_path) == {"mode": "full"}
+
+    def test_minibatch(self, small_cora, tmp_path):
+        trainer = SESTrainer(small_cora, _config())
+        trainer._configure(batch_size=64)
+        execution = self._written(trainer, tmp_path)
+        self._check_sampler(execution, trainer.num_nodes, 64)
+        assert execution == {"mode": "minibatch", "batch_size": 64}
+
+    def test_parallel(self, small_cora, tmp_path):
+        trainer = SESTrainer(small_cora, _config())
+        trainer.configure_parallel(2, shards=4)
+        execution = self._written(trainer, tmp_path)
+        self._check_sampler(execution, trainer.num_nodes, -(-trainer.num_nodes // 4))
+        assert execution == {"mode": "parallel", "workers": 2, "shards": 4}

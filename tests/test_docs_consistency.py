@@ -115,3 +115,51 @@ class TestDesignIndex:
         design = (ROOT / "DESIGN.md").read_text()
         for bench in set(re.findall(r"benchmarks/(bench_\w+\.py)", design)):
             assert (ROOT / "benchmarks" / bench).exists(), bench
+
+
+def _run_ses_commands(text):
+    """The arguments of each ``run-ses`` command in a markdown text: per
+    line of a fenced block (continuations joined, comments cut), and per
+    inline code span, which may wrap within its paragraph."""
+    commands = []
+
+    def fenced(block):
+        for line in block.group(0).replace("\\\n", " ").splitlines():
+            if "run-ses" in line:
+                commands.append(line.split("run-ses", 1)[1].split("#")[0])
+        return ""
+
+    prose = re.sub(r"```.*?```", fenced, text, flags=re.S)
+    for paragraph in prose.split("\n\n"):
+        for span in re.findall(r"`([^`]*run-ses[^`]*)`", paragraph):
+            commands.append(span.split("run-ses", 1)[1])
+    return commands
+
+
+class TestCliAndApiDocs:
+    def test_documented_run_ses_flags_exist(self):
+        from repro.run_ses import build_parser
+
+        known = {
+            option for action in build_parser()._actions for option in action.option_strings
+        }
+        paths = [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]
+        documented = {}
+        for path in paths:
+            for command in _run_ses_commands(path.read_text()):
+                for flag in re.findall(r"(?<![\w-])--[a-z][a-z-]*", command):
+                    documented.setdefault(flag, path.name)
+        assert documented, "no run-ses command found in the docs"
+        unknown = {flag: where for flag, where in documented.items() if flag not in known}
+        assert unknown == {}
+
+    def test_parallel_config_row_names_the_fields(self):
+        from dataclasses import fields
+
+        from repro.parallel import ParallelConfig
+
+        api = (ROOT / "docs" / "API.md").read_text()
+        row = re.search(r"^\| `ParallelConfig\(([^)]*)\)`", api, flags=re.M)
+        assert row, "docs/API.md has no ParallelConfig(...) row"
+        named = [arg.split("=")[0].strip() for arg in row.group(1).split(",")]
+        assert named == [field.name for field in fields(ParallelConfig)]
