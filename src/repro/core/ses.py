@@ -1229,11 +1229,7 @@ class SESTrainer:
             anomaly = f"non-finite loss ({loss_value!r})"
         elif self._watchdog_events() > watchdog_before:
             anomaly = "NaN watchdog recorded a numerical_event"
-        elif (
-            self.recovery is not None
-            and self.recovery.policy.check_params
-            and not self._params_finite()
-        ):
+        elif self.recovery is not None and not self._params_finite():
             anomaly = "non-finite parameter after optimizer step"
         if anomaly is None or self.recovery is None:
             record["seconds"] = time.perf_counter() - start

@@ -32,7 +32,7 @@ def _degree_corrected_sbm(
     mean_degree: float,
     homophily: float,
     rng: np.random.Generator,
-    degree_exponent: float = 1.0,
+    tail_exponent: float = 1.0,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Sample an undirected DC-SBM.
 
@@ -45,7 +45,7 @@ def _degree_corrected_sbm(
     homophily:
         Fraction of edge endpoints that stay within the class (0.5 = random,
         1.0 = perfectly assortative).
-    degree_exponent:
+    tail_exponent:
         Pareto tail exponent for per-node degree propensities; lower values
         give heavier tails (citation networks are heavy-tailed).
 
@@ -59,7 +59,7 @@ def _degree_corrected_sbm(
     )
     num_nodes = len(labels)
     num_classes = len(class_sizes)
-    propensity = rng.pareto(degree_exponent + 1.0, size=num_nodes) + 1.0
+    propensity = rng.pareto(tail_exponent + 1.0, size=num_nodes) + 1.0
     target_edges = int(mean_degree * num_nodes / 2)
 
     # Pre-compute per-class node pools weighted by propensity.
@@ -171,7 +171,7 @@ def polblogs_like(
     """
     rng = np.random.default_rng(seed)
     sizes = _class_sizes(num_nodes, 2, rng)
-    edges, labels = _degree_corrected_sbm(sizes, mean_degree, homophily, rng, degree_exponent=0.8)
+    edges, labels = _degree_corrected_sbm(sizes, mean_degree, homophily, rng, tail_exponent=0.8)
     features = np.eye(num_nodes)
     return Graph.from_edges(
         num_nodes, edges, features=features, labels=labels, name="PolBlogs-like"
@@ -189,7 +189,7 @@ def cs_like(
     """Co-authorship surrogate for Coauthor-CS (18333 nodes / 15 classes originally)."""
     rng = np.random.default_rng(seed)
     sizes = _class_sizes(num_nodes, num_classes, rng)
-    edges, labels = _degree_corrected_sbm(sizes, mean_degree, homophily, rng, degree_exponent=1.2)
+    edges, labels = _degree_corrected_sbm(sizes, mean_degree, homophily, rng, tail_exponent=1.2)
     words = min(20, feature_dim // num_classes)
     features = _bag_of_words_features(labels, feature_dim, words, 0.065, 0.025, rng)
     graph = Graph.from_edges(num_nodes, edges, features=features, labels=labels, name="CS-like")

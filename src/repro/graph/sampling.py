@@ -3,7 +3,7 @@
 For each node ``v_i`` the paper samples a negative set ``P_n(v_i)`` of the
 same size as its k-hop neighbourhood ``P_r(v_i)``, drawn from the complement
 of ``A^(k)`` and — when labels are available — restricted to nodes of a
-*different* label than ``v_i``.
+*different* label than ``v_i``.  Only training labels steer that choice.
 """
 
 from __future__ import annotations
@@ -29,11 +29,7 @@ def sample_negative_sets(
     graph: Graph,
     k: int,
     rng: np.random.Generator,
-    use_labels: bool = True,
     max_per_node: Optional[int] = None,
-    train_only_labels: bool = True,
-    degree_weighted: bool = True,
-    degree_exponent: float = 0.75,
 ) -> Dict[int, np.ndarray]:
     """``P_n``: per-node negatives sampled from the complement of ``A^(k)``.
 
@@ -43,10 +39,10 @@ def sample_negative_sets(
         Graph and neighbourhood radius.
     rng:
         Random generator (negatives are resampled per run, per the paper).
-    use_labels:
-        Restrict negatives to different-label nodes where possible; this is
-        the variant the paper describes ("not part of the subgraph of the
-        central node and with different labels").
+        Where the graph has labels, negatives prefer nodes whose training
+        label differs from the anchor's — the variant the paper describes
+        ("not part of the subgraph of the central node and with different
+        labels"); a graph without labels samples label-free.
     max_per_node:
         Optional cap, handy for very dense graphs.
 
@@ -58,8 +54,8 @@ def sample_negative_sets(
     """
     num_nodes = graph.num_nodes
     reach = khop_adjacency(graph, k)
-    labels = graph.labels if use_labels and graph.labels is not None else None
-    if labels is not None and train_only_labels and graph.train_mask is not None:
+    labels = graph.labels
+    if labels is not None and graph.train_mask is not None:
         # Only training labels may steer sampling — using test labels here
         # would leak supervision into the mask.
         labels = np.where(graph.train_mask, labels, -1)
@@ -77,21 +73,14 @@ def sample_negative_sets(
     # A neighbour of degree d draws positions in ``[low, high)`` of the
     # degree-sorted node order: every node whose degree is within ±50% of d,
     # widened by four places each side when fewer than four nodes qualify.
-    if degree_weighted:
-        degrees = np.asarray(graph.adjacency.getnnz(axis=1), dtype=np.int64)
-        node_at = np.argsort(degrees, kind="mergesort")
-        sorted_degrees = degrees[node_at]
-        band_low = np.searchsorted(sorted_degrees, (degrees * 0.5).astype(np.int64), "left")
-        band_high = np.searchsorted(
-            sorted_degrees, np.ceil(degrees * 1.5).astype(np.int64), "right"
-        )
-        narrow = band_high - band_low < 4  # widen degenerate bands (unique hub degrees)
-        band_low = np.where(narrow, np.maximum(0, band_low - 4), band_low)
-        band_high = np.where(narrow, np.minimum(num_nodes, band_high + 4), band_high)
-    else:
-        node_at = np.arange(num_nodes, dtype=np.int64)
-        band_low = np.zeros(num_nodes, dtype=np.int64)
-        band_high = np.full(num_nodes, num_nodes, dtype=np.int64)
+    degrees = np.asarray(graph.adjacency.getnnz(axis=1), dtype=np.int64)
+    node_at = np.argsort(degrees, kind="mergesort")
+    sorted_degrees = degrees[node_at]
+    band_low = np.searchsorted(sorted_degrees, (degrees * 0.5).astype(np.int64), "left")
+    band_high = np.searchsorted(sorted_degrees, np.ceil(degrees * 1.5).astype(np.int64), "right")
+    narrow = band_high - band_low < 4  # widen degenerate bands (unique hub degrees)
+    band_low = np.where(narrow, np.maximum(0, band_low - 4), band_low)
+    band_high = np.where(narrow, np.minimum(num_nodes, band_high + 4), band_high)
 
     for node in range(num_nodes):
         khop_ids = reach.indices[reach.indptr[node]: reach.indptr[node + 1]]

@@ -10,9 +10,8 @@ The observability layer of the reproduction (docs/OBSERVABILITY.md):
   counts, phase timings, hierarchical trace spans, RNG seed and config
   hash.  Records finalize atomically (``.tmp`` + rename + fsync).
 * :mod:`repro.obs.monitors` — training-health payload functions
-  (gradient/parameter/activation statistics via streaming Welford
-  accumulators, SES mask health, triplet margins) and the
-  :class:`NaNWatchdog` that turns NaN/Inf into structured
+  (gradient/parameter/activation statistics, SES mask health, triplet
+  margins) and the :class:`NaNWatchdog` that turns NaN/Inf into structured
   ``numerical_event``\\ s naming the offending op.
 * :mod:`repro.obs.report` — ``python -m repro obs-report run.jsonl``
   renders timings, span tree, health summaries and the op profile.
@@ -51,7 +50,6 @@ from .metrics import (
 from .monitors import (
     NaNWatchdog,
     NumericalAnomalyError,
-    Welford,
     activation_stats,
     grad_stats,
     mask_health,
@@ -89,7 +87,6 @@ __all__ = [
     "RunRecorder",
     "default_recorder",
     "telemetry_enabled",
-    "Welford",
     "grad_stats",
     "param_stats",
     "activation_stats",

@@ -1,16 +1,14 @@
-"""Training-health monitors: streaming statistics, mask health, NaN watchdog.
+"""Training-health monitors: tensor statistics, mask health, NaN watchdog.
 
 SES training is a two-phase optimisation whose failure modes are silent —
 a saturating mask generator, a collapsing triplet loss, or an exploding
 gradient all surface only as a bad final accuracy.  This module turns those
 failure modes into structured telemetry events (:mod:`repro.obs.events`):
 
-* :class:`Welford` — a streaming (single-pass, constant-memory) accumulator
-  for count / mean / variance / norm / fraction-zero over arbitrarily many
-  arrays, using the numerically-stable Welford/Chan merge.
 * :func:`grad_stats` / :func:`param_stats` / :func:`activation_stats` —
   gradient, parameter and activation statistics (``grad_stats`` /
-  ``param_stats`` / ``activation_stats`` payloads).
+  ``param_stats`` / ``activation_stats`` payloads), each one numpy pass
+  over the concatenated arrays.
 * :func:`mask_health` — SES-specific: saturation and Bernoulli entropy of
   the feature/structure masks (``mask_health``), the symptoms of
   GNNExplainer-style mask collapse.
@@ -42,127 +40,40 @@ from .recorder import NullRecorder
 
 
 # ----------------------------------------------------------------------
-# Streaming statistics
-# ----------------------------------------------------------------------
-class Welford:
-    """Streaming mean/variance/norm/zero-fraction accumulator.
-
-    Feeds on whole arrays (:meth:`update`) and merges with other
-    accumulators (:meth:`merge`) using the parallel variance combination of
-    Chan et al., so statistics over a training run never require holding
-    more than O(1) state.  Variance is the population variance (``ddof=0``),
-    matching ``numpy.var``'s default — the property tests pin this.
-    """
-
-    __slots__ = ("count", "mean", "_m2", "_sumsq", "_zeros", "min", "max")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.mean = 0.0
-        self._m2 = 0.0
-        self._sumsq = 0.0
-        self._zeros = 0
-        self.min = math.inf
-        self.max = -math.inf
-
-    def update(self, values: Any) -> "Welford":
-        """Fold an array (any shape) into the running statistics."""
-        values = np.asarray(values, dtype=np.float64).ravel()
-        n = int(values.size)
-        if n == 0:
-            return self
-        batch_mean = float(values.mean())
-        batch_m2 = float(np.square(values - batch_mean).sum())
-        delta = batch_mean - self.mean
-        total = self.count + n
-        self.mean += delta * n / total
-        self._m2 += batch_m2 + delta * delta * self.count * n / total
-        self.count = total
-        self._sumsq += float(np.square(values).sum())
-        self._zeros += int(n - np.count_nonzero(values))
-        self.min = min(self.min, float(values.min()))
-        self.max = max(self.max, float(values.max()))
-        return self
-
-    def merge(self, other: "Welford") -> "Welford":
-        """Combine another accumulator into this one (Chan et al. merge)."""
-        if other.count == 0:
-            return self
-        if self.count == 0:
-            for slot in self.__slots__:
-                setattr(self, slot, getattr(other, slot))
-            return self
-        delta = other.mean - self.mean
-        total = self.count + other.count
-        self.mean += delta * other.count / total
-        self._m2 += other._m2 + delta * delta * self.count * other.count / total
-        self.count = total
-        self._sumsq += other._sumsq
-        self._zeros += other._zeros
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
-        return self
-
-    @property
-    def variance(self) -> float:
-        """Population variance (``ddof=0``); 0.0 before any update."""
-        return self._m2 / self.count if self.count else 0.0
-
-    @property
-    def std(self) -> float:
-        return math.sqrt(max(self.variance, 0.0))
-
-    @property
-    def norm(self) -> float:
-        """L2 norm over every element seen so far."""
-        return math.sqrt(self._sumsq)
-
-    @property
-    def frac_zero(self) -> float:
-        return self._zeros / self.count if self.count else 0.0
-
-    @property
-    def max_abs(self) -> float:
-        if self.count == 0:
-            return 0.0
-        return max(abs(self.min), abs(self.max))
-
-    def state_dict(self) -> Dict[str, float]:
-        """Full accumulator state (JSON-safe), for checkpoint/resume."""
-        return {slot: getattr(self, slot) for slot in self.__slots__}
-
-    def load_state_dict(self, state: Mapping[str, float]) -> "Welford":
-        """Restore a state captured by :meth:`state_dict`."""
-        for slot in self.__slots__:
-            setattr(self, slot, state[slot])
-        self.count = int(self.count)
-        self._zeros = int(self._zeros)
-        return self
-
-    def summary(self) -> Dict[str, float]:
-        """JSON-ready statistics dict (the monitor event payload core)."""
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "std": self.std,
-            "norm": self.norm,
-            "frac_zero": self.frac_zero,
-            "min": self.min if self.count else 0.0,
-            "max": self.max if self.count else 0.0,
-        }
-
-
-# ----------------------------------------------------------------------
 # Health-event payloads
 # ----------------------------------------------------------------------
+def _summary(arrays: Iterable[Any]) -> Optional[Dict[str, Any]]:
+    """Count, mean, population std (``ddof=0``), L2 norm, fraction of exact
+    zeros, min and max over every element of ``arrays``, in one numpy pass
+    over their concatenation; ``None`` when there is no element."""
+    parts = [np.asarray(array, dtype=np.float64).ravel() for array in arrays]
+    values = np.concatenate(parts) if parts else np.empty(0)
+    count = int(values.size)
+    if count == 0:
+        return None
+    return {
+        "count": count,
+        "mean": float(values.mean()),
+        "std": float(values.std()),
+        "norm": math.sqrt(float(np.square(values).sum())),
+        "frac_zero": (count - int(np.count_nonzero(values))) / count,
+        "min": float(values.min()),
+        "max": float(values.max()),
+    }
+
+
+def _max_abs(stats: Mapping[str, Any]) -> float:
+    return max(abs(stats["min"]), abs(stats["max"]))
+
+
 def grad_stats(named_params: Iterable[Tuple[str, Tensor]]) -> Optional[Dict[str, Any]]:
-    """``grad_stats`` payload: every parameter gradient in one Welford pass.
+    """``grad_stats`` payload: statistics over every parameter gradient.
 
     Global norm, mean/std, fraction of exactly-zero entries, and the
     parameter with the largest gradient norm — the usual first suspect
     when a phase explodes.  ``None`` when no parameter has a gradient.
     """
-    stats = Welford()
+    grads = []
     worst_name, worst_norm = None, -1.0
     missing = 0
     for name, param in named_params:
@@ -170,52 +81,53 @@ def grad_stats(named_params: Iterable[Tuple[str, Tensor]]) -> Optional[Dict[str,
         if grad is None:
             missing += 1
             continue
-        stats.update(grad)
+        grads.append(grad)
         norm = float(np.linalg.norm(grad))
         if norm > worst_norm:
             worst_name, worst_norm = name, norm
-    if stats.count == 0:
+    stats = _summary(grads)
+    if stats is None:
         return None
+    norm = stats.pop("norm")
     return {
-        "global_norm": stats.norm,
-        "max_abs": stats.max_abs,
+        "global_norm": norm,
+        "max_abs": _max_abs(stats),
         "worst_param": worst_name,
         "worst_param_norm": worst_norm,
         "missing_grads": missing,
-        **{k: v for k, v in stats.summary().items() if k != "norm"},
+        **stats,
     }
 
 
 def param_stats(named_params: Iterable[Tuple[str, Tensor]]) -> Optional[Dict[str, Any]]:
     """``param_stats`` payload: parameter-value statistics (``None`` if empty)."""
-    stats = Welford()
-    for _, param in named_params:
-        stats.update(param.data)
-    if stats.count == 0:
+    stats = _summary(param.data for _, param in named_params)
+    if stats is None:
         return None
-    return {
-        "global_norm": stats.norm,
-        "max_abs": stats.max_abs,
-        **{k: v for k, v in stats.summary().items() if k != "norm"},
-    }
+    norm = stats.pop("norm")
+    return {"global_norm": norm, "max_abs": _max_abs(stats), **stats}
 
 
 def activation_stats(values: np.ndarray) -> Optional[Dict[str, Any]]:
     """``activation_stats`` payload for one named activation (``None`` if empty)."""
-    stats = Welford().update(values)
-    if stats.count == 0:
+    stats = _summary([values])
+    if stats is None:
         return None
-    return {"max_abs": stats.max_abs, **stats.summary()}
+    return {"max_abs": _max_abs(stats), **stats}
 
 
-def mask_health(values: np.ndarray, tol: float = 0.05) -> Optional[Dict[str, Any]]:
+# A mask entry this close to 0 or 1 counts as saturated in ``mask_health``.
+_SATURATION_TOL = 0.05
+
+
+def mask_health(values: np.ndarray) -> Optional[Dict[str, Any]]:
     """``mask_health`` payload: saturation and entropy of one mask.
 
     A healthy mask distribution keeps gradient flowing through the sigmoid
     scorer; the two collapse modes are both visible here:
 
     * ``saturated_high``/``saturated_low`` — fraction of entries within
-      ``tol`` of 1 / 0, where the sigmoid derivative (and therefore the
+      0.05 of 1 / 0, where the sigmoid derivative (and therefore the
       masked-cross-entropy gradient of Eq. 8) has died;
     * ``entropy`` — mean Bernoulli entropy of the mask entries, in nats.
       Near-zero entropy with high accuracy is a converged, confident mask;
@@ -233,8 +145,8 @@ def mask_health(values: np.ndarray, tol: float = 0.05) -> Optional[Dict[str, Any
     return {
         "mean": float(values.mean()),
         "entropy": entropy,
-        "saturated_low": float(np.mean(values <= tol)),
-        "saturated_high": float(np.mean(values >= 1.0 - tol)),
+        "saturated_low": float(np.mean(values <= _SATURATION_TOL)),
+        "saturated_high": float(np.mean(values >= 1.0 - _SATURATION_TOL)),
     }
 
 
@@ -268,6 +180,11 @@ def triplet_margin(
 # ----------------------------------------------------------------------
 # NaN/Inf watchdog
 # ----------------------------------------------------------------------
+# Anomalies a watchdog records and emits; later ones only count in
+# ``NaNWatchdog.suppressed``.
+_MAX_EVENTS = 10
+
+
 class NumericalAnomalyError(ArithmeticError):
     """Raised by :class:`NaNWatchdog` in ``action="raise"`` mode."""
 
@@ -301,12 +218,11 @@ class NaNWatchdog:
     monitor — is opt-in: outside the context ``Tensor._make`` is pristine.
     """
 
-    def __init__(self, recorder=None, action: str = "record", max_events: int = 10) -> None:
+    def __init__(self, recorder=None, action: str = "record") -> None:
         if action not in ("record", "raise"):
             raise ValueError("action must be 'record' or 'raise'")
         self.recorder = recorder if recorder is not None else NullRecorder()
         self.action = action
-        self.max_events = max_events
         self.context: Dict[str, Any] = {"phase": None, "epoch": None}
         self.anomalies: List[Dict[str, Any]] = []
         self.suppressed = 0
@@ -351,7 +267,7 @@ class NaNWatchdog:
             "phase": self.context.get("phase"),
             "epoch": self.context.get("epoch"),
         }
-        if len(self.anomalies) < self.max_events:
+        if len(self.anomalies) < _MAX_EVENTS:
             self.anomalies.append(record)
             self.recorder.emit("numerical_event", **record)
         else:

@@ -105,6 +105,8 @@ _WORKER_START_SECONDS = _METRICS.histogram(
 
 # How often the collect loop wakes to run the liveness watchdog.
 _POLL_SECONDS = 0.1
+# Seconds before a rank's first restart; each further restart doubles it.
+_RESTART_BACKOFF = 0.05
 
 # The BLAS thread pool is sized when numpy is imported, so it is chosen in
 # the forkserver's environment; every worker forked from it inherits one.
@@ -178,7 +180,6 @@ class ParallelConfig:
     shards: int = 4
     heartbeat_timeout: float = 10.0
     max_restarts: int = 2
-    restart_backoff: float = 0.05
 
     def __post_init__(self) -> None:
         if self.workers <= 0:
@@ -191,8 +192,6 @@ class ParallelConfig:
             )
         if self.max_restarts < 0:
             raise ValueError("max_restarts must be >= 0")
-        if self.restart_backoff < 0:
-            raise ValueError("restart_backoff must be >= 0")
 
 
 @dataclass
@@ -243,7 +242,6 @@ class WorkerSupervisor:
         self._version = 0
         self._last_phase: Optional[str] = None
         self._handles: Dict[int, _WorkerHandle] = {}
-        self._dead_ranks: set = set()
         self._restarts: Counter = Counter()
         self._started = False
         # Cumulative across pool restarts (stop_workers resets the per-rank
@@ -262,7 +260,7 @@ class WorkerSupervisor:
     def alive_workers(self) -> int:
         """Workers currently in the pool."""
         if not self._started:
-            return self.config.workers - len(self._dead_ranks)
+            return self.config.workers
         return len(self._handles)
 
     def invalidate_constants(self) -> None:
@@ -328,7 +326,6 @@ class WorkerSupervisor:
     def _ensure_started(self) -> None:
         if self._started:
             return
-        self._dead_ranks = set()
         self._restarts = Counter()
         for rank in range(self.config.workers):
             self._spawn(rank)
@@ -506,9 +503,7 @@ class WorkerSupervisor:
         if attempts < self.config.max_restarts:
             # Exponential backoff before the restart: a crash loop caused by
             # the environment (OOM, bad node) should not spin at full speed.
-            delay = self.config.restart_backoff * (2 ** attempts)
-            if delay > 0:
-                time.sleep(delay)
+            time.sleep(_RESTART_BACKOFF * (2 ** attempts))
             self._restarts[rank] += 1
             self.total_restarts += 1
             _RESTARTS_TOTAL.inc(rank=str(rank))
@@ -520,7 +515,6 @@ class WorkerSupervisor:
             return
         # Budget exhausted: degrade to a smaller pool.  Shard contents and
         # reduction order are worker-independent, so the numbers do not move.
-        self._dead_ranks.add(rank)
         self.degraded_ranks.add(rank)
         survivors = sorted(self._handles)
         if not survivors:
@@ -577,7 +571,6 @@ class WorkerSupervisor:
             handle.process.join(timeout=max(0.0, deadline - time.monotonic()))
             self._terminate(handle)
         self._handles.clear()
-        self._dead_ranks = set()
         self._restarts = Counter()
         self._started = False
         _WORKERS_ALIVE.set(0)

@@ -10,16 +10,17 @@ The policy implemented here is the classical spike-recovery loop:
 1. **snapshot** — after every good epoch the :class:`RecoveryManager` keeps
    an in-memory :class:`~repro.resilience.snapshot.TrainingSnapshot`;
 2. **rollback** — when the trainer reports an anomaly (non-finite loss,
-   NaN-watchdog event, non-finite parameters) the last good snapshot is
-   restored, which also rewinds the RNG stream and the training history;
-3. **backoff** — the phase learning rate is scaled by ``lr_backoff`` after
-   each rollback (cumulatively, surviving the restore) so a retry of the
-   same epoch takes a smaller step through the same stochastic draws;
-4. **bounded retries** — after ``max_retries`` consecutive failed epochs,
-   or once the learning rate reaches ``min_lr``, the manager stops fighting:
-   ``on_exhaustion="degrade"`` ends the phase at the last good state
-   (phase 1 then freezes the masks it has, and training proceeds with
-   frozen-mask predictive learning only), ``"raise"`` aborts with
+   NaN-watchdog event, non-finite parameters after the optimizer step) the
+   last good snapshot is restored, which also rewinds the RNG stream and
+   the training history;
+3. **backoff** — the phase learning rate is scaled by :data:`LR_BACKOFF`
+   after each rollback (cumulatively, surviving the restore) so a retry of
+   the same epoch takes a smaller step through the same stochastic draws;
+4. **bounded retries** — after :data:`MAX_RETRIES` consecutive failed
+   epochs, or once the learning rate reaches :data:`MIN_LR`, the manager
+   stops fighting: ``on_exhaustion="degrade"`` ends the phase at the last
+   good state (phase 1 then freezes the masks it has, and training proceeds
+   with frozen-mask predictive learning only), ``"raise"`` aborts with
    :class:`TrainingDivergedError`.
 
 Every decision is emitted as a ``recovery_event`` — the one report of it:
@@ -50,34 +51,25 @@ class TrainingDivergedError(ArithmeticError):
         )
 
 
+MAX_RETRIES = 3
+"""Consecutive anomalous epochs tolerated before giving up; the counter
+resets whenever an epoch completes cleanly."""
+LR_BACKOFF = 0.5
+"""Multiplier applied to the phase learning rate on each rollback."""
+MIN_LR = 1e-6
+"""Floor under the backed-off learning rate; reaching it exhausts the
+recovery budget even if retries remain."""
+
+
 @dataclass(frozen=True)
 class RecoveryPolicy:
-    """Knobs of the rollback-and-retry loop (see module docstring)."""
+    """What the rollback-and-retry loop does once its budget is spent."""
 
-    max_retries: int = 3
-    """Consecutive anomalous epochs tolerated before giving up; the counter
-    resets whenever an epoch completes cleanly."""
-    lr_backoff: float = 0.5
-    """Multiplier applied to the phase learning rate on each rollback."""
-    min_lr: float = 1e-6
-    """Floor under the backed-off learning rate; reaching it exhausts the
-    recovery budget even if retries remain."""
-    snapshot_every: int = 1
-    """Epoch interval between in-memory good snapshots (1 = every epoch)."""
-    check_params: bool = True
-    """Also scan parameters for NaN/Inf after each optimizer step (catches
-    blow-ups that have not yet reached the loss scalar)."""
     on_exhaustion: str = "degrade"
     """``"degrade"``: end the phase at the last good state and continue the
     pipeline; ``"raise"``: abort with :class:`TrainingDivergedError`."""
 
     def __post_init__(self) -> None:
-        if self.max_retries < 1:
-            raise ValueError("max_retries must be >= 1")
-        if not 0.0 < self.lr_backoff < 1.0:
-            raise ValueError("lr_backoff must be in (0, 1)")
-        if self.snapshot_every < 1:
-            raise ValueError("snapshot_every must be >= 1")
         if self.on_exhaustion not in ("degrade", "raise"):
             raise ValueError("on_exhaustion must be 'degrade' or 'raise'")
 
@@ -115,14 +107,12 @@ class RecoveryManager:
 
     # ------------------------------------------------------------------
     def note_good(self, trainer) -> None:
-        """Record a successfully-completed epoch (and maybe re-snapshot)."""
+        """Record a successfully-completed epoch and snapshot it."""
         self.retries = 0
-        total_epochs = sum(trainer._completed.values())
-        if self.last_good is None or total_epochs % self.policy.snapshot_every == 0:
-            self.last_good = capture_training_snapshot(trainer)
-            # The fresh snapshot bakes in the current (possibly backed-off)
-            # learning rate, so the cumulative scale restarts at 1.
-            self.lr_scale = 1.0
+        self.last_good = capture_training_snapshot(trainer)
+        # The fresh snapshot bakes in the current (possibly backed-off)
+        # learning rate, so the cumulative scale restarts at 1.
+        self.lr_scale = 1.0
 
     def ensure_baseline(self, trainer) -> None:
         """Re-snapshot at phase entry so even epoch 0 can roll back.
@@ -149,8 +139,8 @@ class RecoveryManager:
         current_lr = self._phase_lr(trainer, phase)
         exhausted = (
             self.last_good is None
-            or self.retries > policy.max_retries
-            or (current_lr is not None and current_lr <= policy.min_lr)
+            or self.retries > MAX_RETRIES
+            or (current_lr is not None and current_lr <= MIN_LR)
         )
         if exhausted:
             if self.last_good is not None:
@@ -164,7 +154,7 @@ class RecoveryManager:
             self.degraded_phases.add(phase)
             return "degrade"
         restore_training_snapshot(trainer, self.last_good)
-        self.lr_scale *= policy.lr_backoff
+        self.lr_scale *= LR_BACKOFF
         new_lr = self._apply_backoff(trainer, phase)
         self._emit("rollback", trainer, phase, epoch, reason, new_lr=new_lr)
         return "retry"
@@ -182,7 +172,7 @@ class RecoveryManager:
         the identical step at the identical learning rate.
         """
         optimizer = trainer._optimizer(phase)
-        optimizer.lr = max(self.policy.min_lr, float(optimizer.lr) * self.lr_scale)
+        optimizer.lr = max(MIN_LR, float(optimizer.lr) * self.lr_scale)
         return float(optimizer.lr)
 
     def _emit(self, action: str, trainer, phase: str, epoch: int, reason: str, **extra) -> None:

@@ -108,6 +108,16 @@ def main(argv=None) -> int:
         ):
             if value is not None:
                 parser.error(f"{flag} applies only with --workers")
+    if args.resume not in (None, "auto") and not Path(args.resume).exists():
+        parser.error(f"--resume: no such file or directory: {args.resume}")
+    faults = None
+    if args.faults is not None:
+        from .resilience import FaultPlan
+
+        try:
+            faults = FaultPlan.parse(args.faults)
+        except ValueError as error:
+            parser.error(f"--faults: {error}")
     if args.telemetry:
         os.environ["REPRO_TELEMETRY"] = "1"
 
@@ -115,7 +125,7 @@ def main(argv=None) -> int:
     from .core import SESTrainer, fast_config
     from .datasets import load_dataset
     from .graph import classification_split
-    from .resilience import FaultPlan, RecoveryPolicy
+    from .resilience import CheckpointError, RecoveryPolicy
 
     overrides = {"seed": args.seed}
     if args.explainable_epochs is not None:
@@ -136,7 +146,6 @@ def main(argv=None) -> int:
         recovery = RecoveryPolicy(
             on_exhaustion="raise" if args.recover == "raise" else "degrade"
         )
-    faults = FaultPlan.parse(args.faults) if args.faults is not None else None
 
     checkpoint_dir = args.checkpoint_dir
     if checkpoint_dir is None and (args.checkpoint_every > 0 or args.resume == "auto"):
@@ -181,6 +190,9 @@ def main(argv=None) -> int:
             checkpoint_keep=args.checkpoint_keep,
             batch_size=args.batch_size,
         )
+    except CheckpointError as error:
+        print(f"run-ses: {error}", file=sys.stderr)
+        return 1
     finally:
         if dashboard is not None:
             dashboard.close()

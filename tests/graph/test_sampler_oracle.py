@@ -152,21 +152,11 @@ def labelled_graphs(draw):
     graph=labelled_graphs(),
     k=st.integers(1, 3),
     max_per_node=st.sampled_from([None, 1, 8, 64]),
-    use_labels=st.booleans(),
-    degree_weighted=st.booleans(),
-    train_only_labels=st.booleans(),
     seed=st.integers(0, 2**31 - 1),
     lead_draws=st.integers(0, 3),
 )
-def test_matches_reference_loop_and_rng_state(
-    graph, k, max_per_node, use_labels, degree_weighted, train_only_labels, seed, lead_draws
-):
-    options = dict(
-        max_per_node=max_per_node,
-        use_labels=use_labels,
-        degree_weighted=degree_weighted,
-        train_only_labels=train_only_labels,
-    )
+def test_matches_reference_loop_and_rng_state(graph, k, max_per_node, seed, lead_draws):
+    options = dict(max_per_node=max_per_node)
     # An odd number of lead draws leaves a buffered 32-bit half-word, which
     # the first bounded draw of the sampler must consume.
     rng = np.random.default_rng(seed)

@@ -64,7 +64,7 @@ class TestNegativeSampling:
     def test_no_labels_still_samples(self):
         edges = np.array([(0, 1), (2, 3)])
         graph = Graph.from_edges(5, edges)
-        negatives = sample_negative_sets(graph, 1, np.random.default_rng(0), use_labels=False)
+        negatives = sample_negative_sets(graph, 1, np.random.default_rng(0))
         assert len(negatives[0]) == 1
 
     def test_negative_edge_index_shape(self):
@@ -149,16 +149,14 @@ class TestNegativeSamplingProperties:
         density=st.sampled_from([0.0, 0.02, 0.08, 0.3]),
         k=st.integers(1, 3),
         max_per_node=st.sampled_from([None, 1, 3]),
-        degree_weighted=st.booleans(),
     )
     def test_negatives_are_distinct_and_outside_the_khop_set(
-        self, seed, num_nodes, density, k, max_per_node, degree_weighted
+        self, seed, num_nodes, density, k, max_per_node
     ):
         graph = _random_graph(seed, num_nodes, density)
         reach = khop_adjacency(graph, k)
         negatives = sample_negative_sets(
-            graph, k, np.random.default_rng(seed),
-            max_per_node=max_per_node, degree_weighted=degree_weighted,
+            graph, k, np.random.default_rng(seed), max_per_node=max_per_node
         )
         assert sorted(negatives) == list(range(num_nodes))
         for node, negs in negatives.items():
@@ -182,8 +180,10 @@ class TestNegativeSamplingProperties:
         for node, negs in preferred.items():
             assert len(negs) == 4
             assert (labels[negs] != labels[node]).all()
-        # Without labels the same draws do take same-label negatives.
-        plain = sample_negative_sets(graph, 1, np.random.default_rng(seed), use_labels=False)
+        # On the same graph without labels the same draws do take
+        # same-label negatives.
+        unlabelled = Graph.from_edges(num_nodes, np.array(edges))
+        plain = sample_negative_sets(unlabelled, 1, np.random.default_rng(seed))
         assert any((labels[negs] == labels[node]).any() for node, negs in plain.items())
 
     @settings(max_examples=60, deadline=None)

@@ -67,7 +67,7 @@ class TestConfigValidation:
             {"workers": 2, "heartbeat_timeout": 0.0},
             {"workers": 2, "heartbeat_timeout": -1.0},
             {"workers": 2, "max_restarts": -1},
-            {"workers": 2, "restart_backoff": -0.1},
+            {"workers": 2, "shards": -1},
         ],
     )
     def test_bad_config_rejected(self, kwargs):

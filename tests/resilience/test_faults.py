@@ -83,10 +83,6 @@ class TestNaNInjection:
 class TestRecoveryPolicy:
     def test_policy_validation(self):
         with pytest.raises(ValueError):
-            RecoveryPolicy(max_retries=0)
-        with pytest.raises(ValueError):
-            RecoveryPolicy(lr_backoff=1.5)
-        with pytest.raises(ValueError):
             RecoveryPolicy(on_exhaustion="panic")
 
     def test_policy_from_env(self):
@@ -120,10 +116,12 @@ class TestRecoveryPolicy:
         persistent = ",".join(["nan@explainable:2"] * 8)
         trainer = SESTrainer(
             small_cora, _config(),
-            recovery=RecoveryPolicy(max_retries=2),
+            recovery=RecoveryPolicy(),
             faults=FaultPlan.parse(persistent),
         )
         result = trainer.fit()
+        # Three retries, then the fourth consecutive anomaly exhausts them.
+        assert trainer.recovery.total_rollbacks == 4
         assert "explainable" in trainer.recovery.degraded_phases
         # Phase 1 ended at the last good epoch; masks froze there and
         # phase 2 still ran to completion on them.
@@ -136,11 +134,47 @@ class TestRecoveryPolicy:
         persistent = ",".join(["nan@explainable:1"] * 8)
         trainer = SESTrainer(
             small_cora, _config(),
-            recovery=RecoveryPolicy(max_retries=1, on_exhaustion="raise"),
+            recovery=RecoveryPolicy(on_exhaustion="raise"),
             faults=FaultPlan.parse(persistent),
         )
-        with pytest.raises(TrainingDivergedError, match="explainable"):
+        with pytest.raises(TrainingDivergedError, match="explainable") as error:
             trainer.fit()
+        assert trainer.recovery.total_rollbacks == 4
+        assert error.value.retries == 4
+
+    def test_non_finite_parameter_rolls_back(self, small_cora, monkeypatch):
+        import io
+        import json
+
+        from repro.obs import RunRecorder
+        from repro.tensor.optim import Adam
+
+        trainer = SESTrainer(small_cora, _config(), recovery=RecoveryPolicy())
+        # Recovery events go to a recorder of their own: the trainer's stays
+        # disabled, so no NaN watchdog runs and only the parameter check can
+        # see the damage.
+        buffer = io.StringIO()
+        trainer.recovery.recorder = RunRecorder(run_id="param-check", path=buffer)
+        step = Adam.step
+        poisoned = []
+
+        def poisoning_step(optimizer):
+            step(optimizer)
+            if trainer._completed["explainable"] == 2 and not poisoned:
+                optimizer.params[0].data.flat[0] = np.nan
+                poisoned.append(True)
+
+        monkeypatch.setattr(Adam, "step", poisoning_step)
+        result = trainer.fit()
+        assert poisoned
+        assert trainer.recovery.total_rollbacks == 1
+        assert all(np.isfinite(result.history.phase1_loss))
+        events = [json.loads(line) for line in buffer.getvalue().strip().split("\n")]
+        (event,) = [e for e in events if e["event"] == "recovery_event"]
+        assert event["action"] == "rollback"
+        assert event["epoch"] == 2
+        assert event["reason"] == "non-finite parameter after optimizer step"
+        assert np.isfinite(result.logits).all()
 
     def test_recovery_events_recorded(self, small_cora):
         import io

@@ -154,12 +154,34 @@ class TestCliAndApiDocs:
         assert unknown == {}
 
     def test_parallel_config_row_names_the_fields(self):
-        from dataclasses import fields
-
         from repro.parallel import ParallelConfig
 
-        api = (ROOT / "docs" / "API.md").read_text()
-        row = re.search(r"^\| `ParallelConfig\(([^)]*)\)`", api, flags=re.M)
-        assert row, "docs/API.md has no ParallelConfig(...) row"
-        named = [arg.split("=")[0].strip() for arg in row.group(1).split(",")]
-        assert named == [field.name for field in fields(ParallelConfig)]
+        assert _api_row_arguments("ParallelConfig") == _field_names(ParallelConfig)
+
+    def test_recovery_policy_row_names_the_fields(self):
+        from repro.resilience import RecoveryPolicy
+
+        assert _api_row_arguments("RecoveryPolicy") == _field_names(RecoveryPolicy)
+
+    @pytest.mark.parametrize("name", ["NaNWatchdog", "mask_health"])
+    def test_obs_row_matches_the_signature(self, name):
+        import inspect
+
+        import repro.obs
+
+        parameters = inspect.signature(getattr(repro.obs, name)).parameters
+        assert _api_row_arguments(name) == list(parameters)
+
+
+def _api_row_arguments(name):
+    """Argument names of the ``| `name(...)` |`` row of docs/API.md."""
+    api = (ROOT / "docs" / "API.md").read_text()
+    row = re.search(rf"^\| `{name}\(([^)]*)\)`", api, flags=re.M)
+    assert row, f"docs/API.md has no {name}(...) row"
+    return [arg.split("=")[0].strip() for arg in row.group(1).split(",")]
+
+
+def _field_names(cls):
+    from dataclasses import fields
+
+    return [field.name for field in fields(cls)]

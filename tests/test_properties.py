@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 from repro.core.pairs import construct_pairs
 from repro.graph import Graph, khop_adjacency, random_split
 from repro.metrics import accuracy, roc_auc_score
-from repro.obs import Welford
+from repro.obs import activation_stats, param_stats
 from repro.tensor import Tensor, functional as F, segment_softmax, segment_sum, unbroadcast
 
 settings.register_profile("ci", max_examples=25, deadline=None)
@@ -81,9 +81,9 @@ class TestAutogradProperties:
             np.testing.assert_allclose(out[ids == segment].sum(), 1.0, atol=1e-9)
 
 
-class TestWelfordProperties:
-    """The streaming accumulator must agree with batch numpy regardless of
-    how the data is chunked or merged (the whole point of Welford/Chan)."""
+class TestArrayStatsProperties:
+    """Statistics over several arrays agree with batch numpy on their
+    concatenation, however the values are split across the arrays."""
 
     values = arrays(
         np.float64,
@@ -92,47 +92,23 @@ class TestWelfordProperties:
     )
 
     @given(values, st.integers(0, 2**31 - 1))
-    def test_chunked_updates_match_batch_numpy(self, data, seed):
+    def test_split_arrays_match_batch_numpy(self, data, seed):
         rng = np.random.default_rng(seed)
         cuts = np.sort(rng.integers(0, data.size + 1, size=rng.integers(0, 4)))
-        acc = Welford()
-        for chunk in np.split(data, cuts):
-            acc.update(chunk)
-        assert acc.count == data.size
-        np.testing.assert_allclose(acc.mean, data.mean(), rtol=1e-9, atol=1e-9)
-        np.testing.assert_allclose(acc.variance, data.var(), rtol=1e-7, atol=1e-9)
-        np.testing.assert_allclose(acc.norm, np.linalg.norm(data), rtol=1e-9)
-        assert acc.min == data.min() and acc.max == data.max()
+        params = [(f"p{i}", Tensor(chunk)) for i, chunk in enumerate(np.split(data, cuts))]
+        stats = param_stats(params)
+        assert stats["count"] == data.size
+        np.testing.assert_allclose(stats["mean"], data.mean(), rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(stats["std"], data.std(), rtol=1e-7, atol=1e-9)
+        np.testing.assert_allclose(stats["global_norm"], np.linalg.norm(data), rtol=1e-9)
+        assert stats["min"] == data.min() and stats["max"] == data.max()
         np.testing.assert_allclose(
-            acc.frac_zero, np.mean(data == 0.0), rtol=1e-12, atol=0.0
-        )
-
-    @given(values, values)
-    def test_merge_matches_concatenation(self, a, b):
-        merged = Welford().update(a).merge(Welford().update(b))
-        both = np.concatenate([a, b])
-        assert merged.count == both.size
-        np.testing.assert_allclose(merged.mean, both.mean(), rtol=1e-9, atol=1e-9)
-        np.testing.assert_allclose(merged.variance, both.var(), rtol=1e-7, atol=1e-9)
-        np.testing.assert_allclose(merged.norm, np.linalg.norm(both), rtol=1e-9)
-
-    @given(values)
-    def test_update_order_is_elementwise_irrelevant(self, data):
-        forward = Welford()
-        backward = Welford()
-        for value in data:
-            forward.update([value])
-        for value in data[::-1]:
-            backward.update([value])
-        np.testing.assert_allclose(forward.mean, backward.mean, rtol=1e-9, atol=1e-9)
-        np.testing.assert_allclose(
-            forward.variance, backward.variance, rtol=1e-6, atol=1e-8
+            stats["frac_zero"], np.mean(data == 0.0), rtol=1e-12, atol=0.0
         )
 
     @given(values)
-    def test_variance_is_never_negative(self, data):
-        acc = Welford().update(data)
-        assert acc.variance >= 0.0 and acc.std >= 0.0
+    def test_std_is_never_negative(self, data):
+        assert activation_stats(data)["std"] >= 0.0
 
 
 class TestMetricProperties:

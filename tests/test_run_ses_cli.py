@@ -50,3 +50,35 @@ def test_parallel_summary_counts_the_injected_kill(capsys):
     out = capsys.readouterr().out
     assert "parallel: workers=2 shards=4 restarts=1" in out
     assert "minibatch:" not in out
+
+
+def _error_lines(err):
+    assert "Traceback" not in err
+    return [line for line in err.splitlines() if "error:" in line or line.startswith("run-ses:")]
+
+
+def test_bad_fault_spec_is_a_usage_error_before_any_work(no_work, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run_ses.main(["--faults", "bogus@explainable:1"])
+    assert exit_info.value.code == 2
+    (line,) = _error_lines(capsys.readouterr().err)
+    assert line.endswith("error: --faults: bad fault kind 'bogus' in spec 'bogus@explainable:1'; "
+                         "expected one of ('crash', 'nan', 'kill_worker', 'hang_worker')")
+
+
+def test_missing_resume_path_is_a_usage_error_before_any_work(no_work, capsys, tmp_path):
+    missing = tmp_path / "no-such-checkpoint"
+    with pytest.raises(SystemExit) as exit_info:
+        run_ses.main(["--resume", str(missing)])
+    assert exit_info.value.code == 2
+    (line,) = _error_lines(capsys.readouterr().err)
+    assert line.endswith(f"error: --resume: no such file or directory: {missing}")
+
+
+def test_damaged_checkpoint_is_one_line(capsys, tmp_path):
+    (tmp_path / "snap-explainable-0002.npz").write_bytes(b"not a snapshot")
+    assert run_ses.main(SMALL_RUN + ["--resume", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    (line,) = err.strip().splitlines()
+    assert line.startswith(f"run-ses: no usable snapshot under {tmp_path}: ")
