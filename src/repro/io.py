@@ -12,7 +12,8 @@ pickle (safe to load from untrusted sources).
   :class:`~repro.core.explanations.Explanations`.
 
 Durability (docs/ROBUSTNESS.md): every save streams to a ``.tmp`` sibling
-and is fsynced before an atomic rename — the same pattern the telemetry
+(members stored, not deflated; deflated files from earlier versions still
+load) and is fsynced before an atomic rename — the same pattern the telemetry
 recorder uses — so a kill mid-save never leaves a corrupt file at the final
 path.  Every load converts the opaque ``zipfile.BadZipFile`` / ``KeyError``
 that numpy raises on truncated or damaged archives into a

@@ -74,21 +74,30 @@ class RecoveryPolicy:
             raise ValueError("on_exhaustion must be 'degrade' or 'raise'")
 
 
+_RECOVERY_OFF = ("", "0", "false", "no")
+_RECOVERY_ON = ("1", "true", "yes")
+
+
 def recovery_policy_from_env(env: Optional[dict] = None) -> Optional[RecoveryPolicy]:
     """Default policy when ``REPRO_RECOVERY`` opts in, else ``None``.
 
     ``REPRO_RECOVERY=1`` enables the defaults; ``REPRO_RECOVERY=raise``
     enables them with ``on_exhaustion="raise"``.  Unset/falsy leaves
     recovery off, preserving the historical fail-as-it-lies behaviour (and
-    the bit-exactness of existing baseline run records).
+    the bit-exactness of existing baseline run records).  Any other value
+    raises :class:`ValueError` naming the accepted ones, so a typo such as
+    ``rasie`` cannot silently degrade a run that was meant to abort.
     """
-    value = (env if env is not None else os.environ).get("REPRO_RECOVERY", "")
-    value = value.strip().lower()
-    if value in ("", "0", "false", "no"):
+    raw = (env if env is not None else os.environ).get("REPRO_RECOVERY", "")
+    value = raw.strip().lower()
+    if value in _RECOVERY_OFF:
         return None
+    if value in _RECOVERY_ON:
+        return RecoveryPolicy()
     if value == "raise":
         return RecoveryPolicy(on_exhaustion="raise")
-    return RecoveryPolicy()
+    accepted = ", ".join(repr(v) for v in _RECOVERY_OFF + _RECOVERY_ON + ("raise",))
+    raise ValueError(f"unknown REPRO_RECOVERY value {raw!r}; expected one of {accepted}")
 
 
 class RecoveryManager:

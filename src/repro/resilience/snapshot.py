@@ -26,8 +26,9 @@ On disk a snapshot is a single ``.npz``: one entry per array plus a
 ``__manifest__`` JSON blob carrying scalars, the config hash, the RNG state,
 the execution record (mode, sizes, sampler state) and a per-array checksum
 table.  Only the current format version is read.  Writes are atomic
-(:func:`repro.resilience.storage.atomic_savez`) and loads verify every
-checksum, so truncation or bit corruption is rejected with a
+(:func:`repro.resilience.storage.atomic_savez`, members stored rather than
+deflated, while deflated snapshots from earlier versions still load) and
+loads verify every checksum, so truncation or bit corruption is rejected with a
 :class:`~repro.resilience.storage.CheckpointError` instead of resuming from
 garbage.
 """

@@ -13,8 +13,8 @@ artefact of the training runtime needs:
   bytes, so a flipped bit inside an otherwise-well-formed zip member is
   detected at load time, not as a silent training divergence;
 * **diagnosis** — :func:`open_npz` converts the opaque
-  ``zipfile.BadZipFile`` / ``KeyError`` / ``EOFError`` zoo that
-  ``numpy.load`` surfaces on damaged archives into one
+  ``zipfile.BadZipFile`` / ``KeyError`` / ``EOFError`` / ``OSError`` zoo
+  that ``numpy.load`` surfaces on damaged archives into one
   :class:`CheckpointError` naming the path and the failure.
 """
 
@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import hashlib
 import os
+import tokenize
 import zipfile
+import zlib
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Dict, Iterator, Mapping, Union
@@ -63,19 +65,22 @@ def fsync_directory(path: PathLike) -> None:
         os.close(fd)
 
 
-def atomic_savez(path: PathLike, compressed: bool = True, **arrays: np.ndarray) -> Path:
+def atomic_savez(path: PathLike, **arrays: np.ndarray) -> Path:
     """Write an ``.npz`` archive crash-safely; return the final path.
 
     The archive is fully written and fsynced under ``<path>.tmp`` before an
     atomic rename publishes it, so readers never observe a partial file and
     a mid-save kill leaves any previous version untouched.
+
+    Members are stored, not deflated: zlib made a snapshot write ~10x and a
+    load ~2x slower for a file half the size.  ``np.load`` reads both kinds,
+    so deflated archives written by earlier versions still load.
     """
     path = _npz_path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = Path(str(path) + ".tmp")
-    saver = np.savez_compressed if compressed else np.savez
     with open(tmp, "wb") as handle:
-        saver(handle, **arrays)
+        np.savez(handle, **arrays)
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, path)
@@ -97,20 +102,38 @@ def atomic_write_text(path: PathLike, text: str) -> Path:
     return path
 
 
+# What ``numpy.load`` and ``zipfile`` raise on a damaged archive, at open or
+# at a member read: a bad central directory or CRC (``BadZipFile``), a short
+# member (``EOFError``), an offset past the end (``OSError``), a flipped
+# version or method byte (``NotImplementedError``), an unparsable ``.npy``
+# header (``ValueError``, ``tokenize.TokenError``) and a bad deflate stream
+# in an archive written before members were stored (``zlib.error``).
+_DAMAGE = (
+    zipfile.BadZipFile,
+    EOFError,
+    OSError,
+    NotImplementedError,
+    ValueError,
+    tokenize.TokenError,
+    zlib.error,
+)
+
+
 @contextmanager
 def open_npz(path: PathLike, what: str = "checkpoint") -> Iterator[np.lib.npyio.NpzFile]:
     """Open an ``.npz`` for reading; raise :class:`CheckpointError` on damage.
 
     Truncation is typically detected at open (bad end-of-central-directory),
-    bit corruption at member access (CRC mismatch) — both paths, plus a
-    missing file, surface as :class:`CheckpointError` naming ``path``.
+    bit corruption at member access (CRC mismatch, a broken header) — both
+    paths, plus a missing file, surface as :class:`CheckpointError` naming
+    ``path``.
     """
     path = Path(path)
     try:
         archive = np.load(path, allow_pickle=False)
     except FileNotFoundError:
         raise CheckpointError(f"{what} not found: {path}") from None
-    except (zipfile.BadZipFile, EOFError, OSError, ValueError) as error:
+    except _DAMAGE as error:
         raise CheckpointError(f"corrupt {what} at {path}: {error}") from error
     try:
         yield archive
@@ -118,7 +141,7 @@ def open_npz(path: PathLike, what: str = "checkpoint") -> Iterator[np.lib.npyio.
         raise CheckpointError(
             f"{what} at {path} is missing entry {error}"
         ) from error
-    except (zipfile.BadZipFile, EOFError, ValueError) as error:
+    except _DAMAGE as error:
         raise CheckpointError(f"corrupt {what} at {path}: {error}") from error
     finally:
         archive.close()
@@ -130,11 +153,11 @@ def array_checksum(array: np.ndarray) -> str:
     Hashing the dtype and shape alongside the buffer means a reinterpreted
     array (same bytes, different view) fails verification too.
     """
-    array = np.ascontiguousarray(array)
+    array = np.ascontiguousarray(array)  # a no-op for loaded arrays
     digest = hashlib.sha256()
     digest.update(str(array.dtype).encode("utf-8"))
     digest.update(str(array.shape).encode("utf-8"))
-    digest.update(array.tobytes())
+    digest.update(memoryview(array))  # the buffer itself, not a tobytes() copy
     return digest.hexdigest()[:16]
 
 

@@ -110,14 +110,29 @@ def main(argv=None) -> int:
                 parser.error(f"{flag} applies only with --workers")
     if args.resume not in (None, "auto") and not Path(args.resume).exists():
         parser.error(f"--resume: no such file or directory: {args.resume}")
-    faults = None
-    if args.faults is not None:
-        from .resilience import FaultPlan
+    # The flag wins over its environment variable; whichever is used is
+    # checked here, before the dataset load, not inside SESTrainer.
+    from .resilience import (
+        CheckpointError,
+        FaultPlan,
+        RecoveryPolicy,
+        TrainingDivergedError,
+        recovery_policy_from_env,
+    )
 
+    try:
+        faults = FaultPlan.parse(args.faults) if args.faults is not None else FaultPlan.from_env()
+    except ValueError as error:
+        parser.error(f"{'--faults' if args.faults is not None else 'REPRO_FAULTS'}: {error}")
+    if args.recover is not None:
+        recovery = RecoveryPolicy(
+            on_exhaustion="raise" if args.recover == "raise" else "degrade"
+        )
+    else:
         try:
-            faults = FaultPlan.parse(args.faults)
+            recovery = recovery_policy_from_env()
         except ValueError as error:
-            parser.error(f"--faults: {error}")
+            parser.error(str(error))
     if args.telemetry:
         os.environ["REPRO_TELEMETRY"] = "1"
 
@@ -125,7 +140,6 @@ def main(argv=None) -> int:
     from .core import SESTrainer, fast_config
     from .datasets import load_dataset
     from .graph import classification_split
-    from .resilience import CheckpointError, RecoveryPolicy
 
     overrides = {"seed": args.seed}
     if args.explainable_epochs is not None:
@@ -140,12 +154,6 @@ def main(argv=None) -> int:
     graph = classification_split(
         load_dataset(args.dataset, scale=args.scale, seed=args.seed), seed=args.seed
     )
-
-    recovery = None
-    if args.recover is not None:
-        recovery = RecoveryPolicy(
-            on_exhaustion="raise" if args.recover == "raise" else "degrade"
-        )
 
     checkpoint_dir = args.checkpoint_dir
     if checkpoint_dir is None and (args.checkpoint_every > 0 or args.resume == "auto"):
@@ -190,7 +198,7 @@ def main(argv=None) -> int:
             checkpoint_keep=args.checkpoint_keep,
             batch_size=args.batch_size,
         )
-    except CheckpointError as error:
+    except (CheckpointError, TrainingDivergedError) as error:
         print(f"run-ses: {error}", file=sys.stderr)
         return 1
     finally:

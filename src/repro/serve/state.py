@@ -154,7 +154,8 @@ def load_serving_state(
     snapshot predates mask freezing — explanations only exist once
     explainable training has completed — and
     :class:`~repro.resilience.CheckpointError` on damage or an unsupported
-    format version.
+    format version.  A version-2 snapshot with deflated members, as earlier
+    versions wrote them, serves the same logits as a stored one.
     """
     path = Path(source)
     if path.is_dir():

@@ -93,6 +93,11 @@ class TestRecoveryPolicy:
             {"REPRO_RECOVERY": "raise"}
         ).on_exhaustion == "raise"
 
+    @pytest.mark.parametrize("value", ["rasie", "maybe", "2"])
+    def test_policy_from_env_rejects_unknown_values(self, value):
+        with pytest.raises(ValueError, match=f"unknown REPRO_RECOVERY value '{value}'.*'raise'"):
+            recovery_policy_from_env({"REPRO_RECOVERY": value})
+
     def test_nan_triggers_rollback_backoff_and_convergence(self, small_cora):
         config = _config()
         trainer = SESTrainer(

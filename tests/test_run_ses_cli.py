@@ -82,3 +82,38 @@ def test_damaged_checkpoint_is_one_line(capsys, tmp_path):
     assert "Traceback" not in err
     (line,) = err.strip().splitlines()
     assert line.startswith(f"run-ses: no usable snapshot under {tmp_path}: ")
+
+
+@pytest.mark.parametrize(
+    "variable, value, message",
+    [
+        ("REPRO_FAULTS", "bogus@explainable:1",
+         "error: REPRO_FAULTS: bad fault kind 'bogus' in spec 'bogus@explainable:1'; "
+         "expected one of ('crash', 'nan', 'kill_worker', 'hang_worker')"),
+        ("REPRO_RECOVERY", "rasie",
+         "error: unknown REPRO_RECOVERY value 'rasie'; expected one of "
+         "'', '0', 'false', 'no', '1', 'true', 'yes', 'raise'"),
+    ],
+    ids=["faults", "recovery"],
+)
+def test_bad_environment_setting_is_a_usage_error_before_any_work(
+    no_work, capsys, monkeypatch, variable, value, message
+):
+    monkeypatch.setenv(variable, value)
+    with pytest.raises(SystemExit) as exit_info:
+        run_ses.main([])
+    assert exit_info.value.code == 2
+    (line,) = _error_lines(capsys.readouterr().err)
+    assert line.endswith(message)
+
+
+def test_exhausted_recovery_with_raise_is_one_line(capsys):
+    # Recovery gives up on the fourth consecutive anomaly of one epoch.
+    faults = ",".join(["nan@explainable:1"] * 4)
+    argv = SMALL_RUN + ["--recover", "raise", "--faults", faults]
+    assert run_ses.main(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    (line,) = err.strip().splitlines()
+    assert line.startswith("run-ses: training diverged in phase 'explainable' at epoch 1 "
+                           "after 4 recovery attempt(s)")
