@@ -3,10 +3,14 @@
 Measures the scatter primitives on both implementations — the CSR segment
 kernels that the conv layers thread cached layouts into, and the
 ``naive=True`` dense-scatter reference — at Cora scale and on a denser
-synthetic graph.  On module teardown the collected stats are written to
-``results/BENCH_kernels.json`` in the ``{benchmarks: [{name, stats}]}``
-shape ``python -m repro obs-diff`` consumes, together with a ``speedups``
-summary (csr-vs-naive mean ratio per op/graph pair).
+synthetic graph.  The edge-weighted aggregation of a masked GCN layer is
+measured at the fit-full k-hop size (cora N=1000, ``A^(2)`` plus self-loops,
+~39k edges, d=32) on the fused ``edge_spmm`` and on the composed
+``gather_rows → * w → segment_sum`` path it replaced.  On module teardown
+the collected stats are written to ``results/BENCH_kernels.json`` in the
+``{benchmarks: [{name, stats}]}`` shape ``python -m repro obs-diff``
+consumes, together with a ``speedups`` summary (naive/csr and
+composed/fused mean ratios per op/graph pair).
 
 Run with::
 
@@ -21,8 +25,17 @@ import os
 import numpy as np
 import pytest
 
-from repro.datasets import cora_like
-from repro.tensor import CSRSegmentLayout, Tensor, gather_rows, segment_softmax, segment_sum
+from repro.datasets import cora_like, load_dataset
+from repro.graph.khop import khop_edge_index
+from repro.nn.base import looped_constants
+from repro.tensor import (
+    CSRSegmentLayout,
+    Tensor,
+    edge_spmm,
+    gather_rows,
+    segment_softmax,
+    segment_sum,
+)
 
 BENCH_JSON = os.path.join("results", "BENCH_kernels.json")
 HIDDEN = 32
@@ -55,10 +68,11 @@ def _write_bench_json():
     means = {b["name"]: b["stats"]["mean"] for b in _BENCH_STATS}
     speedups = {}
     for name, mean in means.items():
-        if name.endswith("_naive"):
-            csr_name = name[: -len("_naive")] + "_csr"
-            if csr_name in means and means[csr_name] > 0:
-                speedups[csr_name[: -len("_csr")]] = mean / means[csr_name]
+        for slow, fast in (("_naive", "_csr"), ("_composed", "_fused")):
+            if name.endswith(slow):
+                fast_name = name[: -len(slow)] + fast
+                if fast_name in means and means[fast_name] > 0:
+                    speedups[fast_name[: -len(fast)]] = mean / means[fast_name]
     os.makedirs(os.path.dirname(BENCH_JSON), exist_ok=True)
     with open(BENCH_JSON, "w", encoding="utf-8") as handle:
         json.dump(
@@ -159,3 +173,34 @@ def test_gather_segment_sum_forward_backward(benchmark, request, graph_name, pat
 
     benchmark(step)
     _emit(benchmark, f"gather_segment_sum_fwdbwd_{graph_name}_{path}")
+
+
+@pytest.fixture(scope="module")
+def khop_full():
+    """The fit-full k-hop edge list, self-looped, with its layout pair."""
+    graph = load_dataset("cora", seed=0, scale=1.0)
+    full_index, layouts = looped_constants(khop_edge_index(graph, 2), graph.num_nodes)
+    rng = np.random.default_rng(0)
+    h = rng.normal(size=(graph.num_nodes, HIDDEN))
+    w = rng.uniform(0.05, 1.0, size=full_index.shape[1])
+    return full_index, graph.num_nodes, layouts, h, w
+
+
+@pytest.mark.parametrize("path", ["fused", "composed"])
+def test_weighted_aggregation_forward_backward(benchmark, khop_full, path):
+    """``out[v] = Σ w_e · h[src_e]`` and both adjoints, as a masked GCN layer runs it."""
+    full_index, num_nodes, layouts, h_data, w_data = khop_full
+    src, dst = full_index
+
+    def step():
+        h = Tensor(h_data, requires_grad=True)
+        w = Tensor(w_data, requires_grad=True)
+        if path == "fused":
+            out = edge_spmm(h, w, full_index, num_nodes, layouts=layouts)
+        else:
+            messages = gather_rows(h, src, layout=layouts.src) * w.reshape(-1, 1)
+            out = segment_sum(messages, dst, num_nodes, layout=layouts.dst)
+        out.sum().backward()
+
+    benchmark(step)
+    _emit(benchmark, f"weighted_aggregation_fwdbwd_khop_{path}")

@@ -101,6 +101,28 @@ def main() -> int:
             for fused_grad, composed_grad in zip(*grads):
                 assert np.allclose(fused_grad, composed_grad, rtol=1e-9, atol=1e-12), blocks
 
+    def fused_aggregation_parity():
+        from repro.tensor import Tensor, edge_spmm, gather_rows, segment_sum
+
+        rng = np.random.default_rng(0)
+        num_nodes, num_edges = 40, 400
+        edge_index = rng.integers(0, num_nodes, (2, num_edges)).astype(np.int64)
+        h_data = rng.normal(size=(num_nodes, 8))
+        w_data = rng.uniform(0.1, 1.0, size=num_edges)
+        results_by_path = []
+        for fused in (True, False):
+            h = Tensor(h_data.copy(), requires_grad=True)
+            w = Tensor(w_data.copy(), requires_grad=True)
+            if fused:
+                out = edge_spmm(h, w, edge_index, num_nodes)
+            else:
+                messages = gather_rows(h, edge_index[0]) * w.reshape(-1, 1)
+                out = segment_sum(messages, edge_index[1], num_nodes)
+            (out * out).sum().backward()
+            results_by_path.append((out.data, h.grad, w.grad))
+        for fused_array, composed_array in zip(*results_by_path):
+            assert np.array_equal(fused_array, composed_array)
+
     def datasets():
         from repro.datasets import load_dataset
 
@@ -361,6 +383,7 @@ def main() -> int:
     check("autograd gradients", autograd, results)
     check("csr kernel parity", csr_kernel_parity, results)
     check("pair scorer parity", pair_scorer_parity, results)
+    check("fused aggregation parity", fused_aggregation_parity, results)
     check("dataset generators", datasets, results)
     check("baseline classifier", baseline, results)
     check("SES two-phase pipeline", ses, results)

@@ -15,7 +15,14 @@ import numpy as np
 
 from ..graph import Graph
 from ..metrics import accuracy, logits_to_predictions
-from ..nn import ARMAConv, ASDGNConv, GINConv, GraphEncoder, TransformerConv
+from ..nn import (
+    ARMAConv,
+    ASDGNConv,
+    GINConv,
+    GraphEncoder,
+    TransformerConv,
+    share_edge_cache,
+)
 from ..tensor import Adam, Linear, Module, Tensor, functional as F, no_grad
 from ..utils import make_rng
 
@@ -27,6 +34,7 @@ class ARMAClassifier(Module):
         super().__init__()
         self.conv1 = ARMAConv(num_features, hidden, rng=rng)
         self.conv2 = ARMAConv(hidden, num_classes, rng=rng)
+        share_edge_cache(self.conv1, self.conv2)
 
     def forward(self, x, edge_index, num_nodes, edge_weight=None):
         h = F.relu(self.conv1(x, edge_index, num_nodes, edge_weight))
@@ -44,6 +52,7 @@ class GINClassifier(Module):
         super().__init__()
         self.conv1 = GINConv(num_features, hidden, rng=rng)
         self.conv2 = GINConv(hidden, num_classes, rng=rng)
+        share_edge_cache(self.conv1, self.conv2)
 
     def forward(self, x, edge_index, num_nodes, edge_weight=None):
         h = F.relu(self.conv1(x, edge_index, num_nodes, edge_weight))
@@ -93,6 +102,7 @@ class UniMPClassifier(Module):
         self.label_embed = Linear(num_classes, hidden, bias=False, rng=rng)
         self.conv1 = TransformerConv(hidden, hidden, heads=2, rng=rng)
         self.conv2 = TransformerConv(hidden, num_classes, heads=1, rng=rng)
+        share_edge_cache(self.conv1, self.conv2)
         self.num_classes = num_classes
         self.label_mask_rate = label_mask_rate
         self._rng = rng

@@ -2,7 +2,13 @@
 
 from .arma import ARMAConv
 from .asdgn import ASDGNConv
-from .base import GraphConv, add_self_loops, extend_edge_weight, weighted_aggregate
+from .base import (
+    GraphConv,
+    add_self_loops,
+    extend_edge_weight,
+    share_edge_cache,
+    weighted_aggregate,
+)
 from .encoder import GraphEncoder
 from .fusedgat import FusedGATConv
 from .gat import GATConv
@@ -15,6 +21,7 @@ __all__ = [
     "GraphConv",
     "add_self_loops",
     "extend_edge_weight",
+    "share_edge_cache",
     "weighted_aggregate",
     "GCNConv",
     "GATConv",

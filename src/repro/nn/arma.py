@@ -52,9 +52,7 @@ class ARMAConv(GraphConv):
         edge_weight: Optional[Tensor] = None,
     ) -> Tensor:
         full_index, coefficients, layouts = self._cached(
-            edge_index,
-            lambda: gcn_constants(edge_index, num_nodes),
-            tag=("norm", num_nodes),
+            gcn_constants, edge_index, num_nodes
         )
         w = extend_edge_weight(edge_weight, num_nodes)
         output = None

@@ -55,9 +55,7 @@ class ASDGNConv(GraphConv):
                 f"ASDGNConv expects width {self.hidden_features}, got {x.shape[1]}"
             )
         full_index, coefficients, layouts = self._cached(
-            edge_index,
-            lambda: gcn_constants(edge_index, num_nodes),
-            tag=("norm", num_nodes),
+            gcn_constants, edge_index, num_nodes
         )
         w = extend_edge_weight(edge_weight, num_nodes)
         identity = as_tensor(self.gamma * np.eye(self.hidden_features))

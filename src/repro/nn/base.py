@@ -12,17 +12,20 @@ Every conv in :mod:`repro.nn` follows the same calling convention::
   coefficients stay constant while the mask weights receive gradients.
 
 Layers cache per-``edge_index`` constants (self-looped indices, degree
-normalisation, CSR segment layouts) keyed on the array's content, since the
-topology is fixed throughout a training run.  The cached
-:class:`EdgeLayouts` pair — one destination-sorted layout for the scatter
-side, one source-sorted layout for the gather adjoints — is threaded into
-every ``segment_*``/``gather_rows`` call so the hot path never re-sorts or
-re-hashes the edge list (see docs/PERF.md).
+normalisation, CSR segment layouts) keyed on the builder and the array's
+content, since the topology is fixed throughout a training run.  The convs
+of one model share one bounded cache (:func:`share_edge_cache`), so the
+layers of an encoder build each edge list's constants once.  The cached
+:class:`~repro.tensor.csr.EdgeLayouts` pair — one destination-sorted layout
+for the scatter side, one source-sorted layout for the gather adjoints — is
+threaded into every ``segment_*``/``gather_rows``/``edge_spmm`` call so the
+hot path never re-sorts or re-hashes the edge list (see docs/PERF.md).
 """
 
 from __future__ import annotations
 
-from typing import Dict, NamedTuple, Optional, Tuple
+from collections import OrderedDict
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -32,35 +35,17 @@ from ..tensor import (
     Module,
     Tensor,
     as_tensor,
+    edge_spmm,
     functional as F,
-    gather_rows,
     segment_sum,
 )
+from ..tensor.csr import EdgeLayouts, edge_layouts
 
 
 def add_self_loops(edge_index: np.ndarray, num_nodes: int) -> np.ndarray:
     """Append the ``N`` self-loop edges to ``edge_index``."""
     loops = np.arange(num_nodes, dtype=np.int64)
     return np.hstack([edge_index, np.vstack([loops, loops])])
-
-
-class EdgeLayouts(NamedTuple):
-    """The two CSR layouts one edge list needs for message passing.
-
-    ``dst`` sorts edges by destination (forward scatter / softmax segments);
-    ``src`` sorts by source (the adjoint of every source-side gather).
-    """
-
-    src: CSRSegmentLayout
-    dst: CSRSegmentLayout
-
-
-def edge_layouts(edge_index: np.ndarray, num_nodes: int) -> EdgeLayouts:
-    """Build the src/dst :class:`CSRSegmentLayout` pair for ``edge_index``."""
-    return EdgeLayouts(
-        src=CSRSegmentLayout(edge_index[0], num_nodes),
-        dst=CSRSegmentLayout(edge_index[1], num_nodes),
-    )
 
 
 def looped_constants(
@@ -110,27 +95,47 @@ def extend_edge_weight_scaled(
     return F.concatenate([edge_weight, self_weights], axis=0)
 
 
+class EdgeConstantCache:
+    """Least-recently-used edge constants, keyed on builder and content.
+
+    Keys hold the builder, the node count and the edge array's length and
+    byte hash — not object identity: numpy reuses ids of collected arrays,
+    and explainers feed many distinct subgraphs through the same conv.
+    Hashing the raw bytes is O(E), negligible next to the aggregation.
+    """
+
+    ENTRIES_PER_CONV = 9
+
+    def __init__(self, limit: int = ENTRIES_PER_CONV) -> None:
+        self.limit = limit
+        self._entries: "OrderedDict[Tuple, Tuple]" = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, builder: Callable, edge_index: np.ndarray, num_nodes: int):
+        """``builder(edge_index, num_nodes)``, built once per key."""
+        key = (builder, num_nodes, edge_index.shape[1], hash(edge_index.tobytes()))
+        value = self._entries.get(key)
+        if value is not None:
+            self._entries.move_to_end(key)
+            return value
+        while len(self._entries) >= self.limit:
+            self._entries.popitem(last=False)
+        value = self._entries[key] = builder(edge_index, num_nodes)
+        return value
+
+
 class GraphConv(Module):
     """Abstract base conv providing the edge-constant cache."""
 
     def __init__(self) -> None:
         super().__init__()
-        self._edge_cache: Dict[Tuple, Tuple] = {}
+        self._edge_cache = EdgeConstantCache()
 
-    def _cached(self, edge_index: np.ndarray, builder, tag="") -> Tuple:
-        # Key on content, not object identity: numpy reuses ids of collected
-        # arrays, and explainers feed many distinct subgraphs through the
-        # same conv.  Hashing the raw bytes is O(E) — negligible next to the
-        # aggregation itself.  ``tag`` separates callers that cache different
-        # artifacts for the same edge set (e.g. plain vs masked paths);
-        # callers include ``num_nodes`` in it, since cached layouts and
-        # normalisations depend on the node count as well as the edges.
-        key = (tag, edge_index.shape[1], hash(edge_index.tobytes()))
-        if key not in self._edge_cache:
-            if len(self._edge_cache) > 8:
-                self._edge_cache.clear()
-            self._edge_cache[key] = builder()
-        return self._edge_cache[key]
+    def _cached(self, builder: Callable, edge_index: np.ndarray, num_nodes: int):
+        """``builder(edge_index, num_nodes)`` from this conv's edge cache."""
+        return self._edge_cache.get(builder, edge_index, num_nodes)
 
     def forward(
         self,
@@ -140,6 +145,17 @@ class GraphConv(Module):
         edge_weight: Optional[Tensor] = None,
     ) -> Tensor:
         raise NotImplementedError
+
+
+def share_edge_cache(*convs: GraphConv) -> None:
+    """Give the convs of one model a single edge-constant cache.
+
+    Layers that see the same edge list then build its constants once.  The
+    shared cache holds as many entries as the convs' own caches together.
+    """
+    shared = EdgeConstantCache(sum(conv._edge_cache.limit for conv in convs))
+    for conv in convs:
+        conv._edge_cache = shared
 
 
 def weighted_aggregate(
@@ -153,20 +169,15 @@ def weighted_aggregate(
     """Aggregate ``sum_e coeff_e * w_e * h[src_e]`` onto destination nodes.
 
     ``coefficients`` are constant structural terms; ``edge_weight`` is an
-    optional differentiable multiplier aligned with the same edges.
-    ``layouts`` threads the conv's cached CSR layouts into the gather
-    adjoint and the destination scatter.
+    optional differentiable multiplier aligned with the same edges, folded
+    into one per-edge weight ``coeff_e * w_e`` before the product.
+    ``layouts`` threads the conv's cached CSR layouts into
+    :func:`~repro.tensor.edge_spmm`.
     """
-    src, dst = edge_index
-    messages = gather_rows(h, src, layout=layouts.src if layouts else None)
-    const = as_tensor(coefficients.reshape(-1, *([1] * (h.ndim - 1))))
-    messages = messages * const
+    weight = as_tensor(coefficients)
     if edge_weight is not None:
-        w = edge_weight.reshape(-1, *([1] * (h.ndim - 1)))
-        messages = messages * w
-    return segment_sum(
-        messages, dst, num_nodes, layout=layouts.dst if layouts else None
-    )
+        weight = weight * edge_weight
+    return edge_spmm(h, weight, edge_index, num_nodes, layouts=layouts)
 
 
 def gcn_constants(

@@ -19,6 +19,7 @@ import numpy as np
 
 from ..tensor import Linear, Module, Tensor, functional as F
 from .fusedgat import FusedGATConv
+from .base import share_edge_cache
 from .gat import GATConv
 from .gcn import GCNConv
 from .sage import SAGEConv
@@ -97,6 +98,7 @@ class GraphEncoder(Module):
         self.head = (
             Linear(hidden_features, out_features, rng=rng) if representation_head else None
         )
+        share_edge_cache(self.conv1, *self.middle_convs, self.conv2)
         self.activation = F.elu if backbone in ("gat", "fusedgat") else F.relu
 
     def forward(

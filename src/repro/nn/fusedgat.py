@@ -30,11 +30,7 @@ class FusedGATConv(GATConv):
         num_nodes: int,
         edge_weight: Optional[Tensor] = None,
     ) -> Tensor:
-        full_index, layouts = self._cached(
-            edge_index,
-            lambda: looped_constants(edge_index, num_nodes),
-            tag=("loops", num_nodes),
-        )
+        full_index, layouts = self._cached(looped_constants, edge_index, num_nodes)
         src, dst = full_index
         h = (x @ self.weight).reshape(num_nodes, self.heads, self.head_dim)
         # Fusion: reduce the attention dot products to per-node scalars

@@ -75,11 +75,7 @@ class GATConv(GraphConv):
         num_nodes: int,
         edge_weight: Optional[Tensor] = None,
     ) -> Tensor:
-        full_index, layouts = self._cached(
-            edge_index,
-            lambda: looped_constants(edge_index, num_nodes),
-            tag=("loops", num_nodes),
-        )
+        full_index, layouts = self._cached(looped_constants, edge_index, num_nodes)
         src, dst = full_index
         h = (x @ self.weight).reshape(num_nodes, self.heads, self.head_dim)
         # Additive attention: alpha_e = leakyrelu(a_s . h_src + a_d . h_dst).

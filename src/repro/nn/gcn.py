@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..tensor import Tensor, as_tensor, gather_rows, segment_sum
+from ..tensor import Tensor, as_tensor, edge_spmm, gather_rows, segment_sum
 from ..tensor.init import xavier_uniform, zeros_init
 from .base import (
     GraphConv,
@@ -49,9 +49,7 @@ class GCNConv(GraphConv):
         h = x @ self.weight
         if edge_weight is None:
             full_index, coefficients, layouts = self._cached(
-                edge_index,
-                lambda: gcn_constants(edge_index, num_nodes),
-                tag=("norm", num_nodes),
+                gcn_constants, edge_index, num_nodes
             )
             out = weighted_aggregate(
                 h, full_index, num_nodes, coefficients, None, layouts=layouts
@@ -74,11 +72,7 @@ class GCNConv(GraphConv):
         the classification loss by *re-weighting* neighbours (the behaviour
         Eq. 8 is meant to train).
         """
-        full_index, layouts = self._cached(
-            edge_index,
-            lambda: looped_constants(edge_index, num_nodes),
-            tag=("loops", num_nodes),
-        )
+        full_index, layouts = self._cached(looped_constants, edge_index, num_nodes)
         w = extend_edge_weight_scaled(edge_weight, edge_index, num_nodes)
         src, dst = full_index
         degree = segment_sum(w, dst, num_nodes, layout=layouts.dst) + as_tensor(1e-9)
@@ -88,5 +82,4 @@ class GCNConv(GraphConv):
             * gather_rows(inv_sqrt, src, layout=layouts.src)
             * gather_rows(inv_sqrt, dst, layout=layouts.dst)
         )
-        messages = gather_rows(h, src, layout=layouts.src) * coeff.reshape(-1, 1)
-        return segment_sum(messages, dst, num_nodes, layout=layouts.dst)
+        return edge_spmm(h, coeff, full_index, num_nodes, layouts=layouts)

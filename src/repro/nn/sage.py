@@ -42,11 +42,7 @@ class SAGEConv(GraphConv):
         num_nodes: int,
         edge_weight: Optional[Tensor] = None,
     ) -> Tensor:
-        layouts = self._cached(
-            edge_index,
-            lambda: (edge_layouts(edge_index, num_nodes),),
-            tag=("plain", num_nodes),
-        )[0]
+        layouts = self._cached(edge_layouts, edge_index, num_nodes)
         src, dst = edge_index
         messages = gather_rows(x, src, layout=layouts.src)
         if edge_weight is None:

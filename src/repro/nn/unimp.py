@@ -52,11 +52,7 @@ class TransformerConv(GraphConv):
         num_nodes: int,
         edge_weight: Optional[Tensor] = None,
     ) -> Tensor:
-        full_index, layouts = self._cached(
-            edge_index,
-            lambda: looped_constants(edge_index, num_nodes),
-            tag=("loops", num_nodes),
-        )
+        full_index, layouts = self._cached(looped_constants, edge_index, num_nodes)
         src, dst = full_index
         shape = (num_nodes, self.heads, self.head_dim)
         query = (x @ self.weight_query).reshape(*shape)

@@ -2,27 +2,33 @@
 
 Every differentiable operation in :mod:`repro.tensor` — the ``Tensor``
 methods, the gather/segment primitives in :mod:`repro.tensor.scatter` and
-:func:`repro.tensor.sparse.spmm` — funnels through the single graph
+:func:`repro.tensor.sparse.edge_spmm` — funnels through the single graph
 constructor ``Tensor._make(data, parents, backward)``.  :class:`OpProfiler`
-exploits that choke point: while active it swaps ``Tensor._make`` for a
-counting/timing wrapper and restores the pristine function on exit, so a
-disabled profiler costs literally nothing (no flag checks on the hot path,
-no hook objects on tensors).
+exploits that choke point: while active it swaps ``Tensor._make`` (and
+``Tensor.backward``) for counting/timing wrappers and restores the pristine
+functions on exit, so a disabled profiler costs literally nothing (no flag
+checks on the hot path, no hook objects on tensors).
 
 What is measured per op name (``__add__``, ``__matmul__``, ``gather_rows``,
-``segment_sum``, ``spmm``, ...):
+``segment_sum``, ``edge_spmm``, ...):
 
 * **forward calls** — one per graph node created.
 * **forward seconds** — the wall-clock gap since the previous graph node
-  was created (or since the profiler was entered).  In this engine each
-  op computes its numpy result immediately before calling ``_make``, so
-  the gap is the op's own compute plus its python glue; inter-op work
-  (loss bookkeeping, optimiser steps) is attributed to the *next* op and
-  is negligible inside the training loops this profiler targets.
+  was created.  In this engine each op computes its numpy result
+  immediately before calling ``_make``, so inside a forward pass the gap
+  is the op's own compute plus its python glue.
 * **backward calls / seconds** — exact: the recorded backward closure is
   wrapped in a timer, so the adjoint cost of each op is measured directly
   when ``Tensor.backward()`` replays the tape (even if that happens after
   the profiler context has exited).
+
+Work that belongs to no op is one explicit row, ``(between ops)``: the gap
+from entering the profiler to the first op, the gap before each
+``Tensor.backward()``, the replay's own bookkeeping outside the closures,
+the gap after a backward up to the next op (the optimiser step, validation
+set-up, snapshot writes — and, unavoidably, that next op's own compute),
+and the gap from the last op to the exit.  The rows therefore add up to the
+profiled wall time, :attr:`OpProfiler.wall_seconds`.
 
 Single active profiler per process; profilers are not thread-safe (neither
 is the tape-based engine they instrument).
@@ -62,6 +68,10 @@ class OpStat:
         return self.forward_seconds + self.backward_seconds
 
 
+BETWEEN_OPS = "(between ops)"
+"""Row name of the profiled time that belongs to no op."""
+
+
 def _op_name(qualname: str) -> str:
     """Derive the op name from a backward closure's qualified name.
 
@@ -92,8 +102,15 @@ class OpProfiler:
     def __init__(self) -> None:
         self.stats: Dict[str, OpStat] = {}
         self.alloc = AllocationTracker()
-        self._original = None
+        self.between_seconds = 0.0
+        self.wall_seconds = 0.0
+        self._originals = None
         self._mark = 0.0
+        self._entered = 0.0
+        # Set while the gap since ``_mark`` belongs to no op: after entry
+        # and after a backward replay, until the next op is made.
+        self._between = False
+        self._closure_seconds = 0.0
 
     # ------------------------------------------------------------------
     # Activation
@@ -103,12 +120,11 @@ class OpProfiler:
         if _active is not None:
             raise RuntimeError("an OpProfiler is already active in this process")
         _active = self
-        self._original = Tensor.__dict__["_make"].__func__
-        original = self._original
+        original_make = Tensor.__dict__["_make"].__func__
+        original_backward = Tensor.__dict__["backward"]
+        self._originals = (original_make, original_backward)
         stats = self.stats
         perf_counter = time.perf_counter
-        self._mark = perf_counter()
-
         alloc = self.alloc
 
         def profiled_make(data, parents, backward):
@@ -118,8 +134,12 @@ class OpProfiler:
             if stat is None:
                 stat = stats[op] = OpStat()
             stat.forward_calls += 1
-            stat.forward_seconds += now - self._mark
-            out = original(data, parents, backward)
+            if self._between:
+                self.between_seconds += now - self._mark
+                self._between = False
+            else:
+                stat.forward_seconds += now - self._mark
+            out = original_make(data, parents, backward)
             stat.bytes_allocated += alloc.track(out)
             if out._backward is not None:
                 inner = out._backward
@@ -129,20 +149,44 @@ class OpProfiler:
                     try:
                         _inner(grad)
                     finally:
+                        spent = perf_counter() - start
                         _stat.backward_calls += 1
-                        _stat.backward_seconds += perf_counter() - start
+                        _stat.backward_seconds += spent
+                        self._closure_seconds += spent
 
                 out._backward = timed_backward
+            # The node's own construction counts as the op's forward.
             self._mark = perf_counter()
+            stat.forward_seconds += self._mark - now
             return out
 
+        def profiled_backward(tensor, grad=None):
+            start = perf_counter()
+            self.between_seconds += start - self._mark
+            closures = self._closure_seconds
+            try:
+                original_backward(tensor, grad)
+            finally:
+                end = perf_counter()
+                self.between_seconds += end - start - (self._closure_seconds - closures)
+                self._mark = end
+                self._between = True
+
         Tensor._make = staticmethod(profiled_make)
+        Tensor.backward = profiled_backward
+        self._between = True
+        self._entered = self._mark = perf_counter()
         return self
 
     def __exit__(self, *exc_info) -> None:
         global _active
-        Tensor._make = staticmethod(self._original)
-        self._original = None
+        now = time.perf_counter()
+        self.between_seconds += now - self._mark
+        self.wall_seconds += now - self._entered
+        original_make, original_backward = self._originals
+        Tensor._make = staticmethod(original_make)
+        Tensor.backward = original_backward
+        self._originals = None
         _active = None
 
     @property
@@ -153,7 +197,14 @@ class OpProfiler:
     # Readouts
     # ------------------------------------------------------------------
     def records(self) -> List[dict]:
-        """Per-op stats as JSON-ready dicts, heaviest total time first."""
+        """Per-op stats as JSON-ready dicts, heaviest total time first.
+
+        The ``(between ops)`` row is among them; together the rows sum to
+        :attr:`wall_seconds`.
+        """
+        stats = dict(self.stats)
+        if self.between_seconds:
+            stats[BETWEEN_OPS] = OpStat(forward_seconds=self.between_seconds)
         rows = [
             {
                 "op": op,
@@ -163,13 +214,14 @@ class OpProfiler:
                 "backward_seconds": stat.backward_seconds,
                 "bytes_allocated": stat.bytes_allocated,
             }
-            for op, stat in self.stats.items()
+            for op, stat in stats.items()
         ]
         rows.sort(key=lambda r: -(r["forward_seconds"] + r["backward_seconds"]))
         return rows
 
     def total_seconds(self) -> float:
-        return sum(stat.total_seconds for stat in self.stats.values())
+        """Seconds over every row, ``(between ops)`` included."""
+        return self.between_seconds + sum(stat.total_seconds for stat in self.stats.values())
 
     def alloc_summary(self) -> dict:
         """Allocation totals (the ``alloc`` telemetry event payload)."""
@@ -195,6 +247,7 @@ class OpProfiler:
             for r in records
         ]
         footer = (
+            f"profiled wall {self.wall_seconds:.4f} s; "
             f"allocated {format_bytes(self.alloc.bytes_allocated)} over "
             f"{self.alloc.tracked_tensors} graph tensors, "
             f"peak live {format_bytes(self.alloc.peak_live_bytes)}"

@@ -8,7 +8,8 @@ This subpackage replaces PyTorch for the SES reproduction.  Public surface:
   :func:`segment_softmax` — message-passing primitives.
 * :func:`pair_mlp` — a 2-layer MLP over concatenated endpoint pairs,
   evaluated without building the concatenation (the SES Eq. 4 scorer).
-* :func:`spmm` — constant-sparse × dense product.
+* :func:`edge_spmm` — the edge-weighted sparse product ``A_w @ h`` of
+  message passing, differentiable in ``h`` and in the edge weights.
 * :class:`Module`, :class:`Linear`, :class:`MLP`, :class:`Sequential`,
   :class:`Dropout` — NN building blocks.
 * :class:`SGD`, :class:`Adam` — optimisers.
@@ -23,7 +24,7 @@ from .init import xavier_uniform, xavier_uniform_shape, zeros_init
 from .module import MLP, Dropout, Linear, Module, Sequential
 from .optim import SGD, Adam, Optimizer
 from .scatter import gather_rows, pair_mlp, segment_mean, segment_softmax, segment_sum
-from .sparse import spmm
+from .sparse import edge_spmm
 from .tensor import Tensor, as_tensor, is_grad_enabled, no_grad, ones, unbroadcast, zeros
 
 __all__ = [
@@ -43,7 +44,7 @@ __all__ = [
     "segment_sum",
     "segment_mean",
     "segment_softmax",
-    "spmm",
+    "edge_spmm",
     "Module",
     "Linear",
     "MLP",

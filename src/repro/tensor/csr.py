@@ -1,7 +1,8 @@
 """Cached CSR edge layouts for the segment/scatter hot path.
 
 Every conv layer funnels its aggregation through the primitives in
-:mod:`repro.tensor.scatter`.  Their naive implementations scatter with
+:mod:`repro.tensor.scatter` or the fused :func:`repro.tensor.sparse.edge_spmm`.
+The scatter primitives' naive implementations scatter with
 ``np.add.at`` / ``np.maximum.at``, which dispatch one python-level ufunc
 inner loop per element — an order of magnitude slower than a contiguous
 reduction.  :class:`CSRSegmentLayout` precomputes, once per edge topology,
@@ -26,10 +27,11 @@ Layouts are memoised two ways:
 * :func:`cached_layout` keeps a small content-keyed global cache, so any
   call site (including explainers that feed many subgraphs through shared
   convs) transparently reuses layouts;
-* callers that own a fixed topology — the conv layers via their edge-
-  constant cache, :class:`repro.graph.graph.Graph` per k-hop expansion —
-  build a layout once and thread it explicitly via the ``layout=`` keyword
-  of the scatter primitives, skipping even the content hash.
+* callers that own a fixed topology — the conv layers via their shared
+  edge-constant cache (an :class:`EdgeLayouts` pair per edge list),
+  :class:`repro.graph.graph.Graph` per k-hop expansion — build a layout
+  once and thread it explicitly via the ``layout=``/``layouts=`` keywords,
+  skipping even the content hash.
 
 Like the tape-based engine itself, layouts are not thread-safe: the scratch
 buffers assume one backward pass replays at a time.
@@ -180,22 +182,8 @@ class CSRSegmentLayout:
             out[...] = 0.0
         if self.num_items == 0 or values.size == 0:
             return out
-        n_vecs = int(np.prod(trailing)) if trailing else 1
         agg = self.aggregator
-        if _CSR_MATVECS is not None:
-            _CSR_MATVECS(
-                self.num_segments,
-                self.num_items,
-                n_vecs,
-                agg.indptr,
-                agg.indices,
-                agg.data,
-                values.ravel(),
-                out.ravel(),
-            )
-        else:  # pragma: no cover - exercised only on exotic scipy builds
-            out[...] = (agg @ values.reshape(self.num_items, n_vecs)).reshape(out.shape)
-        return out
+        return csr_matvecs(agg.indptr, agg.indices, agg.data, values, out)
 
     def segment_max(self, values: np.ndarray, fill: float = -np.inf) -> np.ndarray:
         """Per-segment maximum via ``np.maximum.reduceat`` over sorted runs.
@@ -215,8 +203,8 @@ class CSRSegmentLayout:
 
         This is the adjoint of a row gather.  The returned buffer is scratch
         owned by the layout: callers must consume it immediately (e.g. via
-        ``Tensor._accumulate``, which copies or adds synchronously) and never
-        retain a reference across calls.
+        ``Tensor._accumulate``, which copies or adds synchronously — never
+        with ``owned=True``) and never retain a reference across calls.
         """
         trailing = values.shape[1:]
         out = self.workspace(("scatter", role, trailing), (self.num_segments, *trailing))
@@ -228,6 +216,81 @@ class CSRSegmentLayout:
             f"segments={self.num_segments}, "
             f"empty={int(self.empty_mask.sum())})"
         )
+
+
+class EdgeLayouts:
+    """The two CSR layouts one edge list needs for message passing.
+
+    ``dst`` sorts edges by destination (forward scatter / softmax segments);
+    ``src`` sorts by source (the adjoint of every source-side gather).  The
+    edge-weighted product :func:`repro.tensor.sparse.edge_spmm` also needs
+    each layout's *other* endpoint in that layout's sorted order — the
+    column indices of ``A_w`` and of its transpose.  They depend on the
+    topology alone, so they are built on first use and kept here.
+    """
+
+    __slots__ = ("src", "dst", "_src_by_dst", "_dst_by_src")
+
+    def __init__(self, src: CSRSegmentLayout, dst: CSRSegmentLayout) -> None:
+        if src.num_items != dst.num_items:
+            raise ValueError(
+                f"src layout has {src.num_items} edges, dst layout {dst.num_items}"
+            )
+        self.src = src
+        self.dst = dst
+        self._src_by_dst: Optional[np.ndarray] = None
+        self._dst_by_src: Optional[np.ndarray] = None
+
+    @property
+    def src_by_dst(self) -> np.ndarray:
+        """``src[dst.perm]``: edge sources in destination-sorted order."""
+        if self._src_by_dst is None:
+            self._src_by_dst = self.src.segment_ids[self.dst.perm]
+        return self._src_by_dst
+
+    @property
+    def dst_by_src(self) -> np.ndarray:
+        """``dst[src.perm]``: edge destinations in source-sorted order."""
+        if self._dst_by_src is None:
+            self._dst_by_src = self.dst.segment_ids[self.src.perm]
+        return self._dst_by_src
+
+    def __repr__(self) -> str:
+        return f"EdgeLayouts(src={self.src!r}, dst={self.dst!r})"
+
+
+def edge_layouts(edge_index: np.ndarray, num_nodes: int) -> EdgeLayouts:
+    """Build the src/dst layout pair for a ``(2, E)`` edge list."""
+    return EdgeLayouts(
+        src=CSRSegmentLayout(edge_index[0], num_nodes),
+        dst=CSRSegmentLayout(edge_index[1], num_nodes),
+    )
+
+
+def csr_matvecs(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    data: np.ndarray,
+    values: np.ndarray,
+    out: np.ndarray,
+) -> np.ndarray:
+    """``out[r] += Σ_{j in run r} data[j] · values[indices[j]]``, in run order.
+
+    ``values`` is ``(C, *trailing)`` and ``out`` is ``(R, *trailing)``, both
+    C-contiguous float64; each trailing column is summed independently, row
+    by row in CSR order, which is what makes every caller's result
+    reproducible bit for bit.
+    """
+    n_rows, n_cols = out.shape[0], values.shape[0]
+    n_vecs = int(np.prod(values.shape[1:])) if values.ndim > 1 else 1
+    if indices.size == 0 or n_vecs == 0:
+        return out
+    if _CSR_MATVECS is not None:
+        _CSR_MATVECS(n_rows, n_cols, n_vecs, indptr, indices, data, values.ravel(), out.ravel())
+    else:  # pragma: no cover - exercised only on exotic scipy builds
+        matrix = sp.csr_matrix((data, indices, indptr), shape=(n_rows, n_cols))
+        out += (matrix @ values.reshape(n_cols, n_vecs)).reshape(out.shape)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,18 @@
 """Gather / segment primitives for differentiable message passing.
 
-Graph convolutions in this reproduction are expressed in the classic
-gather–scatter idiom: gather source-node rows along the edge list, transform
-per edge, then segment-sum back onto destination nodes.  Because the SES
-structure mask multiplies per-edge weights inside this pipeline (paper
-Eq. 8), all three primitives must be differentiable — including with respect
-to the edge weights.
+Attention convs (GAT, FusedGAT, UniMP), SAGE and GIN are expressed in the
+gather–scatter idiom: gather source-node rows along the edge list,
+transform per edge, then segment-sum back onto destination nodes.  The
+masked convs' degree and normalisation terms use the same primitives.
+Because the SES structure mask multiplies per-edge weights inside this
+pipeline (paper Eq. 8), all of them are differentiable — including with
+respect to the edge weights.  A plain edge-weighted sum (the GCN-family
+aggregation) is one fused op instead, :func:`repro.tensor.sparse.edge_spmm`,
+which never forms the per-edge message array.
 
-Two implementations back each primitive:
+Each primitive runs on the CSR path by default and keeps a reference:
 
-* the **CSR path** (default) reduces over a destination-sorted edge layout
+* the **CSR path** reduces over a destination-sorted edge layout
   (:class:`~repro.tensor.csr.CSRSegmentLayout`): sums ride the layout's CSR
   aggregation operator through scipy's C SpMM kernel, maxima use
   ``np.maximum.reduceat`` over the sorted runs, and the backward closures
@@ -25,8 +28,11 @@ Both paths produce the same values up to float summation order.
 
 :func:`pair_mlp` builds on the same layouts: it scores endpoint pairs with
 a 2-layer MLP over their concatenated rows without forming that
-concatenation, and its backward reduces to nodes through one scatter per
-endpoint (docs/PERF.md, "Phase 1: the Eq. 4 pair scorer").
+concatenation, and its backward reduces to nodes through each endpoint's
+layout (docs/PERF.md, "Phase 1: the Eq. 4 pair scorer").
+
+Backward closures that allocate a gradient for one parent alone hand it
+over (``Tensor._accumulate(..., owned=True)``); layout scratch never is.
 """
 
 from __future__ import annotations
@@ -108,8 +114,8 @@ def pair_mlp(mlp, hidden: Tensor, pairs: np.ndarray) -> Tensor:
     work.  The product block is present when the first weight has ``3d``
     rows and absent when it has ``2d``.
 
-    The backward segment-sums the pre-activation gradient, with the product
-    block's endpoint gradient beside it, to nodes: one scatter through each
+    The backward segment-sums the contiguous pre-activation gradient, and
+    beside it the product block's endpoint gradient, to nodes through each
     endpoint's cached layout.  ``W_a``, ``W_b`` and ``dH`` then take N-row
     matmuls.  The tape keeps alive only the ``(E, hidden)`` ReLU output and,
     with the product block, the ``(E, d)`` product ``h_i⊙h_k``.
@@ -155,42 +161,40 @@ def pair_mlp(mlp, hidden: Tensor, pairs: np.ndarray) -> Tensor:
     out_data = (activated @ w2).reshape(-1) + second.bias.data
 
     def backward(grad: np.ndarray) -> None:
-        m = activated.shape[1]
-        # Leading columns: the pre-activation gradient dz.  Trailing columns
-        # (product block with a trainable H only): the product's gradient
-        # towards the endpoint being scattered to.
-        with_product = product and hidden.requires_grad
-        buffer = np.empty((grad.shape[0], m + d if with_product else m))
-        dz = buffer[:, :m]
-        np.multiply(grad[:, None], w2[:, 0], out=dz)
+        dz = grad[:, None] * w2[:, 0]
         np.multiply(dz, activated > 0, out=dz)
+        # The product block's gradient towards the endpoint being scattered
+        # to (trainable H only), rebuilt in one contiguous buffer per endpoint.
+        with_product = product and hidden.requires_grad
         if with_product:
             d_product = dz @ w_c.T
+            partner_grad = np.empty_like(d_product)
         d_blocks = []
         d_hidden = None
         # A scatter's result is layout scratch, overwritten by the next
-        # scatter through the same layout: consume it inside the iteration.
+        # scatter through the same layout and role: consume it inside the
+        # iteration.
         for index, w_block, partner in ((center, w_a, other), (other, w_b, center)):
-            if with_product:
-                np.multiply(d_product, np.take(h, partner, axis=0), out=buffer[:, m:])
-            summed = cached_layout(index, num_nodes).scatter_add(buffer, role="pair_mlp")
-            d_blocks.append(h.T @ summed[:, :m])
+            layout = cached_layout(index, num_nodes)
+            summed = layout.scatter_add(dz, role="pair_mlp")
+            d_blocks.append(h.T @ summed)
             if hidden.requires_grad:
-                part = summed[:, :m] @ w_block.T
+                part = summed @ w_block.T
                 if with_product:
-                    part += summed[:, m:]
+                    np.multiply(d_product, np.take(h, partner, axis=0), out=partner_grad)
+                    part += layout.scatter_add(partner_grad, role="pair_mlp_product")
                 if d_hidden is None:
                     d_hidden = part
                 else:
                     d_hidden += part
         if product:
             d_blocks.append(pair_product.T @ dz)
-        first.weight._accumulate(np.concatenate(d_blocks, axis=0))
-        first.bias._accumulate(dz.sum(axis=0))
-        second.weight._accumulate(activated.T @ grad[:, None])
-        second.bias._accumulate(np.atleast_1d(grad.sum()))
+        first.weight._accumulate(np.concatenate(d_blocks, axis=0), owned=True)
+        first.bias._accumulate(dz.sum(axis=0), owned=True)
+        second.weight._accumulate(activated.T @ grad[:, None], owned=True)
+        second.bias._accumulate(np.atleast_1d(grad.sum()), owned=True)
         if d_hidden is not None:
-            hidden._accumulate(d_hidden)
+            hidden._accumulate(d_hidden, owned=True)
 
     parents = (hidden, first.weight, first.bias, second.weight, second.bias)
     return Tensor._make(out_data, parents, backward)
@@ -224,7 +228,7 @@ def segment_sum(
         out_data = resolved.segment_add(x.data)
 
     def backward(grad: np.ndarray) -> None:
-        x._accumulate(grad[segment_ids])
+        x._accumulate(grad[segment_ids], owned=True)
 
     return Tensor._make(out_data, (x,), backward)
 

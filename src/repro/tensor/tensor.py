@@ -179,12 +179,22 @@ class Tensor:
             out._backward = backward
         return out
 
-    def _accumulate(self, grad: np.ndarray) -> None:
-        """Add ``grad`` into this tensor's gradient buffer."""
+    def _accumulate(self, grad: np.ndarray, owned: bool = False) -> None:
+        """Add ``grad`` into this tensor's gradient buffer.
+
+        A first gradient is copied, unless the caller passes ``owned=True``:
+        a backward closure that allocated ``grad`` for this tensor alone and
+        never touches it again hands it over as the buffer itself.  An array
+        that is also passed to another parent, a view of the incoming
+        gradient, layout scratch or the root seed is never owned.
+        """
         if not self.requires_grad:
             return
         if self.grad is None:
-            self.grad = np.array(grad, dtype=np.float64, copy=True)
+            if owned and isinstance(grad, np.ndarray):
+                self.grad = grad
+            else:
+                self.grad = np.array(grad, dtype=np.float64, copy=True)
         else:
             self.grad += grad
 
@@ -287,8 +297,8 @@ class Tensor:
         self_data, other_data = self.data, other.data
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(unbroadcast(grad * other_data, self.shape))
-            other._accumulate(unbroadcast(grad * self_data, other.shape))
+            self._accumulate(unbroadcast(grad * other_data, self.shape), owned=True)
+            other._accumulate(unbroadcast(grad * self_data, other.shape), owned=True)
 
         return Tensor._make(out_data, (self, other), backward)
 

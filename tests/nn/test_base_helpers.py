@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.nn import GraphEncoder
 from repro.nn.base import (
+    EdgeConstantCache,
     add_self_loops,
     extend_edge_weight,
     extend_edge_weight_scaled,
     gcn_constants,
+    looped_constants,
     weighted_aggregate,
 )
 from repro.tensor import Tensor
@@ -85,3 +88,42 @@ class TestGCNConstants:
         full, coefficients, _layouts = gcn_constants(no_edges, 2)
         # Isolated node with self-loop: degree 1 -> coefficient 1.
         np.testing.assert_allclose(coefficients, 1.0)
+
+
+class TestEdgeConstantCache:
+    def test_builds_once_per_builder_and_content(self, edges):
+        calls = []
+
+        def builder(edge_index, num_nodes):
+            calls.append(num_nodes)
+            return (edge_index.shape[1],)
+
+        cache = EdgeConstantCache()
+        assert cache.get(builder, edges, 4) == (3,)
+        assert cache.get(builder, edges.copy(), 4) == (3,)
+        cache.get(builder, edges, 5)
+        cache.get(gcn_constants, edges, 4)
+        assert calls == [4, 5] and len(cache) == 3
+
+    def test_evicts_least_recently_used_at_its_limit(self):
+        cache = EdgeConstantCache(limit=2)
+        lists = [np.array([[i], [i + 1]], dtype=np.int64) for i in range(3)]
+        cache.get(gcn_constants, lists[0], 4)
+        cache.get(gcn_constants, lists[1], 4)
+        first = cache.get(gcn_constants, lists[0], 4)  # refreshes entry 0
+        cache.get(gcn_constants, lists[2], 4)  # evicts entry 1
+        assert len(cache) == 2
+        assert cache.get(gcn_constants, lists[0], 4) is first
+
+    def test_encoder_convs_share_one_cache(self, edges):
+        encoder = GraphEncoder(3, 4, 2, num_layers=3, rng=np.random.default_rng(0))
+        convs = [encoder.conv1, *encoder.middle_convs, encoder.conv2]
+        cache = encoder.conv1._edge_cache
+        assert all(conv._edge_cache is cache for conv in convs)
+        assert cache.limit == len(convs) * EdgeConstantCache.ENTRIES_PER_CONV
+        x = Tensor(np.ones((4, 3)))
+        encoder(x, edges, 4)
+        encoder(x, edges, 4, edge_weight=Tensor(np.ones(3), requires_grad=True))
+        # One plain and one self-looped entry for the edge list, not one per layer.
+        assert len(cache) == 2
+        assert cache.get(looped_constants, edges, 4)[0].shape == (2, 3 + 4)

@@ -1,11 +1,13 @@
 """The OpProfiler contract: zero overhead off, exact counts on."""
 
+import time
+
 import numpy as np
 import pytest
 
 from repro.obs import OpProfiler, active_profiler
-from repro.obs.profiler import _op_name
-from repro.tensor import Tensor, gather_rows, segment_sum, spmm
+from repro.obs.profiler import BETWEEN_OPS, _op_name
+from repro.tensor import Tensor, edge_spmm, gather_rows, segment_sum
 
 
 def _pristine_make():
@@ -35,6 +37,12 @@ class TestDisabledMode:
         with OpProfiler():
             assert Tensor.__dict__["_make"].__func__ is not before
         assert Tensor.__dict__["_make"].__func__ is before
+
+    def test_backward_restored_after_profiler_exits(self):
+        before = Tensor.__dict__["backward"]
+        with OpProfiler():
+            assert Tensor.__dict__["backward"] is not before
+        assert Tensor.__dict__["backward"] is before
 
     def test_make_restored_after_exception(self):
         before = _pristine_make()
@@ -68,15 +76,13 @@ class TestEnabledCounts:
         assert prof.stats["__mul__"].backward_calls == 0
 
     def test_scatter_and_spmm_route_through_profiler(self):
-        import scipy.sparse as sp
-
         with OpProfiler() as prof:
             x = Tensor(np.ones((4, 3)), requires_grad=True)
             g = gather_rows(x, np.array([0, 1, 1, 3]))
             s = segment_sum(g, np.array([0, 0, 1, 1]), 2)
-            m = spmm(sp.eye(2).tocsr(), s)
+            m = edge_spmm(s, np.ones(2), np.array([[0, 1], [0, 1]]), 2)
             m.sum().backward()
-        for op in ("gather_rows", "segment_sum", "spmm", "sum"):
+        for op in ("gather_rows", "segment_sum", "edge_spmm", "sum"):
             assert prof.stats[op].forward_calls == 1, op
             assert prof.stats[op].backward_calls == 1, op
 
@@ -99,6 +105,40 @@ class TestEnabledCounts:
         with OpProfiler():
             with pytest.raises(RuntimeError):
                 OpProfiler().__enter__()
+
+
+class TestWallClock:
+    def test_work_outside_ops_lands_in_between_row(self):
+        with OpProfiler() as prof:
+            a = Tensor(np.ones(8), requires_grad=True)
+            loss = (a * 2.0).sum()
+            time.sleep(0.02)  # loss bookkeeping before the backward
+            loss.backward()
+            time.sleep(0.02)  # an optimiser step after it
+            _ = a * 3.0
+            time.sleep(0.02)  # work after the last op
+        assert prof.stats["__mul__"].forward_seconds < 0.02
+        assert prof.stats["sum"].forward_seconds < 0.02
+        assert prof.between_seconds >= 0.06
+
+    def test_rows_sum_to_profiled_wall_time_of_a_fit(self):
+        from repro.core import SESTrainer, fast_config
+        from repro.datasets import load_dataset
+        from repro.graph import classification_split
+
+        graph = classification_split(load_dataset("cora", seed=0, scale=0.15), seed=0)
+        config = fast_config("gcn", seed=0, explainable_epochs=4, predictive_epochs=2)
+        trainer = SESTrainer(graph, config)
+        start = time.perf_counter()
+        with OpProfiler() as prof:
+            trainer.fit()
+        wall = time.perf_counter() - start
+        rows = prof.records()
+        total = sum(r["forward_seconds"] + r["backward_seconds"] for r in rows)
+        assert BETWEEN_OPS in {r["op"] for r in rows}
+        assert total == pytest.approx(wall, rel=0.02)
+        assert prof.wall_seconds == pytest.approx(wall, rel=0.02)
+        assert prof.total_seconds() == pytest.approx(total)
 
 
 class TestAllocationAccounting:

@@ -14,6 +14,7 @@ from repro.obs import (
     summarize_run,
 )
 from repro.obs import normalize_span_path
+from repro.obs.profiler import BETWEEN_OPS
 from repro.obs import report as report_module
 from repro.tensor import Tensor
 
@@ -45,7 +46,7 @@ class TestSummarize:
         assert summary["phases"]["explainable"]["last_val_accuracy"] == 0.6
         assert summary["phases"]["predictive"]["epochs"] == 1
         assert summary["pairs"][0]["num_anchors"] == 10
-        assert {p["op"] for p in summary["profile"]} == {"__mul__", "sum"}
+        assert {p["op"] for p in summary["profile"]} == {"__mul__", "sum", BETWEEN_OPS}
         assert summary["end"]["test_accuracy"] == 0.8
 
     def test_load_events_rejects_malformed_interior_lines(self, tmp_path):

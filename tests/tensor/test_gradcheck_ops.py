@@ -26,13 +26,13 @@ from repro.nn import (
 from repro.tensor import (
     MLP,
     Tensor,
+    edge_spmm,
     functional as F,
     gather_rows,
     pair_mlp,
     segment_mean,
     segment_softmax,
     segment_sum,
-    spmm,
 )
 from tests.tensor.gradcheck import assert_grad_close
 
@@ -129,9 +129,10 @@ def test_pair_mlp_gradient(blocks, hidden_grad):
 # Sparse
 # ----------------------------------------------------------------------
 def test_spmm_gradient():
-    matrix = sp.random(5, 4, density=0.5, random_state=7).tocsr()
+    coo = sp.random(5, 4, density=0.5, random_state=7).tocoo()
+    edge_index = np.vstack([coo.col, coo.row]).astype(np.int64)
     x = _param((4, 3))
-    assert_grad_close(lambda t: spmm(matrix, t), x)
+    assert_grad_close(lambda t: edge_spmm(t, coo.data, edge_index, 5), x)
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Unit tests for spmm, the Module system, and the optimisers."""
+"""Unit tests for edge_spmm, the Module system, and the optimisers."""
 
 import numpy as np
 import pytest
@@ -13,33 +13,48 @@ from repro.tensor import (
     Module,
     Sequential,
     Tensor,
+    edge_spmm,
     functional as F,
-    spmm,
 )
 from tests.conftest import numeric_gradient
+
+
+def _edges(matrix):
+    """``(edge_index, weight)`` of a sparse matrix: ``A[v, u]`` is edge u→v."""
+    coo = matrix.tocoo()
+    return np.vstack([coo.col, coo.row]).astype(np.int64), coo.data
 
 
 class TestSpmm:
     def test_matches_dense_product(self, rng):
         matrix = sp.random(6, 5, density=0.4, random_state=0, format="csr")
+        edge_index, weight = _edges(matrix)
         x = Tensor(rng.normal(size=(5, 3)))
-        np.testing.assert_allclose(spmm(matrix, x).data, matrix.toarray() @ x.data)
+        np.testing.assert_allclose(
+            edge_spmm(x, weight, edge_index, 6).data, matrix.toarray() @ x.data
+        )
 
     def test_gradient_is_transpose_product(self, rng):
         matrix = sp.random(6, 5, density=0.5, random_state=1, format="csr")
+        edge_index, weight = _edges(matrix)
         x = Tensor(rng.normal(size=(5, 2)), requires_grad=True)
 
         def run():
-            return (spmm(matrix, x) ** 2).sum()
+            return (edge_spmm(x, weight, edge_index, 6) ** 2).sum()
 
         run().backward()
         np.testing.assert_allclose(
             x.grad, numeric_gradient(lambda: run().item(), x.data), atol=1e-6
         )
+        grad = 2 * (matrix @ x.data)
+        np.testing.assert_allclose(x.grad, matrix.T @ grad)
 
     def test_shape_mismatch_raises(self):
+        edge_index, weight = _edges(sp.identity(3, format="csr"))
         with pytest.raises(ValueError):
-            spmm(sp.identity(3, format="csr"), Tensor(np.ones((4, 2))))
+            edge_spmm(Tensor(np.ones((2, 2))), weight, edge_index, 3)
+        with pytest.raises(ValueError):
+            edge_spmm(Tensor(np.ones((3, 2))), weight[:2], edge_index, 3)
 
 
 class TestModule:
