@@ -1,16 +1,15 @@
-"""CSR segment-kernel microbenchmarks: sorted-layout kernels vs naive.
+"""CSR segment-kernel microbenchmarks.
 
-Measures the scatter primitives on both implementations — the CSR segment
-kernels that the conv layers thread cached layouts into, and the
-``naive=True`` dense-scatter reference — at Cora scale and on a denser
-synthetic graph.  The edge-weighted aggregation of a masked GCN layer is
-measured at the fit-full k-hop size (cora N=1000, ``A^(2)`` plus self-loops,
-~39k edges, d=32) on the fused ``edge_spmm`` and on the composed
+Measures the scatter primitives on the CSR segment kernels that the conv
+layers thread cached layouts into, at Cora scale and on a denser synthetic
+graph.  The edge-weighted aggregation of a masked GCN layer is measured at
+the fit-full k-hop size (cora N=1000, ``A^(2)`` plus self-loops, ~39k
+edges, d=32) on the fused ``edge_spmm`` and on the composed
 ``gather_rows → * w → segment_sum`` path it replaced.  On module teardown
 the collected stats are written to ``results/BENCH_kernels.json`` in the
 ``{benchmarks: [{name, stats}]}`` shape ``python -m repro obs-diff``
-consumes, together with a ``speedups`` summary (naive/csr and
-composed/fused mean ratios per op/graph pair).
+consumes, together with a ``speedups`` summary (the composed/fused mean
+ratio).
 
 Run with::
 
@@ -68,11 +67,10 @@ def _write_bench_json():
     means = {b["name"]: b["stats"]["mean"] for b in _BENCH_STATS}
     speedups = {}
     for name, mean in means.items():
-        for slow, fast in (("_naive", "_csr"), ("_composed", "_fused")):
-            if name.endswith(slow):
-                fast_name = name[: -len(slow)] + fast
-                if fast_name in means and means[fast_name] > 0:
-                    speedups[fast_name[: -len(fast)]] = mean / means[fast_name]
+        if name.endswith("_composed"):
+            stem = name[: -len("_composed")]
+            if means.get(stem + "_fused", 0) > 0:
+                speedups[stem] = mean / means[stem + "_fused"]
     os.makedirs(os.path.dirname(BENCH_JSON), exist_ok=True)
     with open(BENCH_JSON, "w", encoding="utf-8") as handle:
         json.dump(
@@ -122,64 +120,49 @@ def _problem(request, name) -> Problem:
 
 
 @pytest.mark.parametrize("graph_name", ["cora_small", "synthetic"])
-@pytest.mark.parametrize("path", ["csr", "naive"])
-def test_segment_sum_forward(benchmark, request, graph_name, path):
+def test_segment_sum_forward(benchmark, request, graph_name):
     problem = _problem(request, graph_name)
     values = Tensor(problem.edge_values)
-    kwargs = (
-        {"layout": problem.dst_layout} if path == "csr" else {"naive": True}
-    )
 
     def step():
-        segment_sum(values, problem.dst, problem.num_nodes, **kwargs)
+        segment_sum(values, problem.dst, problem.num_nodes, layout=problem.dst_layout)
 
     benchmark(step)
-    _emit(benchmark, f"segment_sum_{graph_name}_{path}")
+    _emit(benchmark, f"segment_sum_{graph_name}_csr")
 
 
 @pytest.mark.parametrize("graph_name", ["cora_small", "synthetic"])
-@pytest.mark.parametrize("path", ["csr", "naive"])
-def test_segment_softmax_forward(benchmark, request, graph_name, path):
+def test_segment_softmax_forward(benchmark, request, graph_name):
     problem = _problem(request, graph_name)
     scores = Tensor(problem.edge_scores)
-    kwargs = (
-        {"layout": problem.dst_layout} if path == "csr" else {"naive": True}
-    )
 
     def step():
-        segment_softmax(scores, problem.dst, problem.num_nodes, **kwargs)
+        segment_softmax(scores, problem.dst, problem.num_nodes, layout=problem.dst_layout)
 
     benchmark(step)
-    _emit(benchmark, f"segment_softmax_{graph_name}_{path}")
+    _emit(benchmark, f"segment_softmax_{graph_name}_csr")
 
 
 @pytest.mark.parametrize("graph_name", ["cora_small", "synthetic"])
-@pytest.mark.parametrize("path", ["csr", "naive"])
-def test_gather_segment_sum_forward_backward(benchmark, request, graph_name, path):
+def test_gather_segment_sum_forward_backward(benchmark, request, graph_name):
     """The message-passing round trip: gather by src, reduce by dst, adjoint."""
     problem = _problem(request, graph_name)
-    if path == "csr":
-        gather_kwargs = {"layout": problem.src_layout}
-        segment_kwargs = {"layout": problem.dst_layout}
-    else:
-        gather_kwargs = {"naive": True}
-        segment_kwargs = {"naive": True}
 
     def step():
         x = Tensor(problem.node_values, requires_grad=True)
-        messages = gather_rows(x, problem.src, **gather_kwargs)
-        out = segment_sum(messages, problem.dst, problem.num_nodes, **segment_kwargs)
+        messages = gather_rows(x, problem.src, layout=problem.src_layout)
+        out = segment_sum(messages, problem.dst, problem.num_nodes, layout=problem.dst_layout)
         out.sum().backward()
 
     benchmark(step)
-    _emit(benchmark, f"gather_segment_sum_fwdbwd_{graph_name}_{path}")
+    _emit(benchmark, f"gather_segment_sum_fwdbwd_{graph_name}_csr")
 
 
 @pytest.fixture(scope="module")
 def khop_full():
     """The fit-full k-hop edge list, self-looped, with its layout pair."""
     graph = load_dataset("cora", seed=0, scale=1.0)
-    full_index, layouts = looped_constants(khop_edge_index(graph, 2), graph.num_nodes)
+    full_index, layouts, _ = looped_constants(khop_edge_index(graph, 2), graph.num_nodes)
     rng = np.random.default_rng(0)
     h = rng.normal(size=(graph.num_nodes, HIDDEN))
     w = rng.uniform(0.05, 1.0, size=full_index.shape[1])

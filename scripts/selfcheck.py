@@ -39,6 +39,8 @@ def main() -> int:
         assert abs(x.grad[0] - 6.0) < 1e-9
 
     def csr_kernel_parity():
+        """The CSR scatter kernels against an inline ``np.add.at`` reference,
+        under the loss ``sum(out ** 2)`` (upstream gradient ``2 * out``)."""
         from repro.tensor import (
             Tensor,
             gather_rows,
@@ -50,30 +52,43 @@ def main() -> int:
         rng = np.random.default_rng(0)
         num_nodes, num_edges = 40, 200
         ids = rng.integers(0, num_nodes, num_edges).astype(np.int64)
-        for op, values in (
-            (segment_sum, rng.normal(size=(num_edges, 8))),
-            (segment_mean, rng.normal(size=(num_edges, 8))),
-            (segment_softmax, rng.normal(size=(num_edges, 2))),
-        ):
-            outs, grads = [], []
-            for naive in (False, True):
-                tensor = Tensor(values.copy(), requires_grad=True)
-                out = op(tensor, ids, num_nodes, naive=naive)
-                (out * out).sum().backward()
-                outs.append(out.data)
-                grads.append(tensor.grad)
-            assert np.allclose(outs[0], outs[1], rtol=1e-9, atol=1e-12), op.__name__
-            assert np.allclose(grads[0], grads[1], rtol=1e-9, atol=1e-12), op.__name__
-        x_data = rng.normal(size=(num_nodes, 8))
-        x_outs, x_grads = [], []
-        for naive in (False, True):
-            x = Tensor(x_data.copy(), requires_grad=True)
-            out = gather_rows(x, ids, naive=naive)
+
+        def scatter(values):
+            out = np.zeros((num_nodes, *values.shape[1:]))
+            np.add.at(out, ids, values)
+            return out
+
+        def run(op, data, *args):
+            tensor = Tensor(data.copy(), requires_grad=True)
+            out = op(tensor, ids, *args)
             (out * out).sum().backward()
-            x_outs.append(out.data)
-            x_grads.append(x.grad)
-        assert np.allclose(x_outs[0], x_outs[1], rtol=1e-9, atol=1e-12)
-        assert np.allclose(x_grads[0], x_grads[1], rtol=1e-9, atol=1e-12)
+            return out.data, tensor.grad
+
+        values = rng.normal(size=(num_edges, 8))
+        total = scatter(values)
+        counts = np.maximum(np.bincount(ids, minlength=num_nodes), 1)[:, None]
+        scores = rng.normal(size=(num_edges, 2))
+        seg_max = np.full((num_nodes, 2), -np.inf)
+        np.maximum.at(seg_max, ids, scores)
+        exp = np.exp(scores - seg_max[ids])
+        soft = exp / scatter(exp)[ids]
+        x = rng.normal(size=(num_nodes, 8))
+        for op, got, (out, grad) in (
+            (segment_sum, run(segment_sum, values, num_nodes), (total, 2 * total[ids])),
+            (
+                segment_mean,
+                run(segment_mean, values, num_nodes),
+                (total / counts, 2 * (total / counts**2)[ids]),
+            ),
+            (
+                segment_softmax,
+                run(segment_softmax, scores, num_nodes),
+                (soft, 2 * soft * (soft - scatter(soft * soft)[ids])),
+            ),
+            (gather_rows, run(gather_rows, x), (x[ids], scatter(2 * x[ids]))),
+        ):
+            assert np.allclose(got[0], out, rtol=1e-9, atol=1e-12), op.__name__
+            assert np.allclose(got[1], grad, rtol=1e-9, atol=1e-12), op.__name__
 
     def pair_scorer_parity():
         from repro.tensor import MLP, Tensor, functional as F, gather_rows, pair_mlp

@@ -44,7 +44,6 @@ __all__ = [
     "models",
     "core",
     "explainers",
-    "graphlevel",
     "io",
     "datasets",
     "metrics",

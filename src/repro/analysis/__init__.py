@@ -3,7 +3,6 @@
 from .mask_dynamics import MaskSnapshotStats, ascii_heatmap, snapshot_stats, summarize_snapshots
 from .sensitivity import SweepResult, sweep_alpha_beta, sweep_lr_khop
 from .tsne import pca, tsne
-from .tuning import DEFAULT_SPACE, SearchResult, Trial, random_search
 
 __all__ = [
     "tsne",
@@ -15,8 +14,4 @@ __all__ = [
     "snapshot_stats",
     "summarize_snapshots",
     "ascii_heatmap",
-    "random_search",
-    "SearchResult",
-    "Trial",
-    "DEFAULT_SPACE",
 ]

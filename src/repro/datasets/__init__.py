@@ -1,8 +1,8 @@
 """Dataset generators: synthetic motif benchmarks and real-world surrogates."""
 
-from .base import attach_ground_truth, directed_pairs, ground_truth_edge_labels
+from .base import attach_ground_truth, directed_pairs
 from .realworld import citeseer_like, cora_like, cs_like, polblogs_like
-from .registry import dataset_names, load_dataset, real_world_names, synthetic_names
+from .registry import dataset_names, load_dataset
 from .synthetic import ba_community, ba_shapes, tree_cycle, tree_grid
 
 __all__ = [
@@ -16,9 +16,6 @@ __all__ = [
     "cs_like",
     "load_dataset",
     "dataset_names",
-    "real_world_names",
-    "synthetic_names",
-    "ground_truth_edge_labels",
     "directed_pairs",
     "attach_ground_truth",
 ]

@@ -12,7 +12,7 @@ Ground-truth explanation labels for the synthetic datasets are stored in
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Iterable, List, Set, Tuple
 
 import numpy as np
 
@@ -34,17 +34,6 @@ def attach_ground_truth(graph: Graph, motif_edges: EdgeSet, motif_nodes: Iterabl
     """Record motif membership on the graph for explanation scoring."""
     graph.extra["gt_edge_mask"] = {edge: 1.0 for edge in motif_edges}
     graph.extra["motif_nodes"] = np.array(sorted(set(int(n) for n in motif_nodes)), dtype=np.int64)
-
-
-def ground_truth_edge_labels(graph: Graph, edge_index: np.ndarray) -> np.ndarray:
-    """Binary labels (motif edge or not) aligned with ``edge_index`` columns."""
-    gt: Dict[Tuple[int, int], float] = graph.extra.get("gt_edge_mask", {})
-    labels = np.zeros(edge_index.shape[1])
-    for col in range(edge_index.shape[1]):
-        key = (int(edge_index[0, col]), int(edge_index[1, col]))
-        if key in gt:
-            labels[col] = 1.0
-    return labels
 
 
 def perturb_with_random_edges(

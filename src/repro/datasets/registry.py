@@ -32,16 +32,6 @@ def dataset_names() -> List[str]:
     return sorted(_REAL) + sorted(_SYNTHETIC)
 
 
-def real_world_names() -> List[str]:
-    """The four real-world (surrogate) datasets of Table 3."""
-    return ["cora", "citeseer", "polblogs", "cs"]
-
-
-def synthetic_names() -> List[str]:
-    """The four synthetic explanation datasets of Table 4."""
-    return ["ba_shapes", "ba_community", "tree_cycle", "tree_grid"]
-
-
 def load_dataset(name: str, seed: int = 0, scale: float = 1.0, **overrides) -> Graph:
     """Instantiate a dataset by name.
 

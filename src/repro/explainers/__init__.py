@@ -6,7 +6,6 @@ from .evaluation import candidate_edges_for_nodes, evaluate_edge_auc, sample_mot
 from .gnn_explainer import GNNExplainer
 from .grad import GradExplainer
 from .graphlime import GraphLIME
-from .occlusion import OcclusionExplainer, RandomExplainer
 from .pg_explainer import PGExplainer
 from .pgm_explainer import PGMExplainer
 
@@ -20,8 +19,6 @@ __all__ = [
     "PGExplainer",
     "PGMExplainer",
     "GraphLIME",
-    "OcclusionExplainer",
-    "RandomExplainer",
     "evaluate_edge_auc",
     "candidate_edges_for_nodes",
     "sample_motif_nodes",

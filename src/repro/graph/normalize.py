@@ -12,29 +12,6 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
-
-from .graph import Graph
-
-
-def gcn_normalized_adjacency(
-    graph: Graph, add_self_loops: bool = True
-) -> sp.csr_matrix:
-    """Kipf–Welling normalisation ``D̂^{-1/2} (A + I) D̂^{-1/2}``."""
-    cache_key = ("gcn_norm", add_self_loops)
-    if cache_key in graph._cache:
-        return graph._cache[cache_key]
-    adj = graph.adjacency
-    if add_self_loops:
-        adj = adj + sp.identity(graph.num_nodes, format="csr")
-    degrees = np.asarray(adj.sum(axis=1)).ravel()
-    inv_sqrt = np.zeros_like(degrees)
-    nonzero = degrees > 0
-    inv_sqrt[nonzero] = degrees[nonzero] ** -0.5
-    d_mat = sp.diags(inv_sqrt)
-    normalized = (d_mat @ adj @ d_mat).tocsr()
-    graph._cache[cache_key] = normalized
-    return normalized
 
 
 def gcn_edge_norm(
@@ -62,23 +39,3 @@ def gcn_edge_norm(
     inv_sqrt[nonzero] = degrees[nonzero] ** -0.5
     coefficients = weights * inv_sqrt[full_src] * inv_sqrt[full_dst]
     return np.vstack([full_src, full_dst]), coefficients
-
-
-def row_normalized_adjacency(graph: Graph, add_self_loops: bool = True) -> sp.csr_matrix:
-    """Random-walk normalisation ``D̂^{-1} (A + I)`` (used by A-SDGN/ARMA)."""
-    adj = graph.adjacency
-    if add_self_loops:
-        adj = adj + sp.identity(graph.num_nodes, format="csr")
-    degrees = np.asarray(adj.sum(axis=1)).ravel()
-    inv = np.zeros_like(degrees)
-    nonzero = degrees > 0
-    inv[nonzero] = 1.0 / degrees[nonzero]
-    return (sp.diags(inv) @ adj).tocsr()
-
-
-def row_normalize_features(features: np.ndarray) -> np.ndarray:
-    """Scale each feature row to unit L1 norm (Planetoid convention)."""
-    features = np.asarray(features, dtype=np.float64)
-    sums = np.abs(features).sum(axis=1, keepdims=True)
-    sums[sums == 0] = 1.0
-    return features / sums

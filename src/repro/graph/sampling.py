@@ -16,15 +16,6 @@ from .graph import Graph
 from .khop import khop_adjacency
 
 
-def relational_neighbor_sets(graph: Graph, k: int) -> Dict[int, np.ndarray]:
-    """``P_r``: map node → its k-hop neighbour ids."""
-    reach = khop_adjacency(graph, k)
-    return {
-        node: reach.indices[reach.indptr[node]: reach.indptr[node + 1]]
-        for node in range(graph.num_nodes)
-    }
-
-
 def sample_negative_sets(
     graph: Graph,
     k: int,

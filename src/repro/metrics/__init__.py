@@ -1,24 +1,15 @@
 """Evaluation metrics: classification, explanation quality, clustering."""
 
-from .classification import accuracy, confusion_matrix, logits_to_predictions, macro_f1
+from .classification import accuracy, confusion_matrix, logits_to_predictions
 from .clustering import calinski_harabasz_score, silhouette_score
-from .explanation import (
-    explanation_auc,
-    fidelity_minus,
-    fidelity_plus,
-    roc_auc_score,
-    sparsity,
-)
+from .explanation import fidelity_plus, roc_auc_score, sparsity
 
 __all__ = [
     "accuracy",
-    "macro_f1",
     "confusion_matrix",
     "logits_to_predictions",
     "roc_auc_score",
-    "explanation_auc",
     "fidelity_plus",
-    "fidelity_minus",
     "sparsity",
     "silhouette_score",
     "calinski_harabasz_score",

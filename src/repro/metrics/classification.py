@@ -28,27 +28,6 @@ def confusion_matrix(predictions: np.ndarray, labels: np.ndarray, num_classes: i
     return matrix
 
 
-def macro_f1(predictions: np.ndarray, labels: np.ndarray, num_classes: Optional[int] = None) -> float:
-    """Unweighted mean of per-class F1 scores."""
-    predictions = np.asarray(predictions)
-    labels = np.asarray(labels)
-    if num_classes is None:
-        num_classes = int(max(predictions.max(initial=0), labels.max(initial=0))) + 1
-    matrix = confusion_matrix(predictions, labels, num_classes)
-    scores = []
-    for c in range(num_classes):
-        tp = matrix[c, c]
-        fp = matrix[:, c].sum() - tp
-        fn = matrix[c, :].sum() - tp
-        if tp == 0:
-            scores.append(0.0)
-            continue
-        precision = tp / (tp + fp)
-        recall = tp / (tp + fn)
-        scores.append(2 * precision * recall / (precision + recall))
-    return float(np.mean(scores))
-
-
 def logits_to_predictions(logits: np.ndarray) -> np.ndarray:
     """Argmax over the class axis."""
     return np.asarray(logits).argmax(axis=-1)

@@ -3,7 +3,7 @@ Fidelity+ (Table 5, Eq. 14)."""
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -33,34 +33,6 @@ def roc_auc_score(labels: np.ndarray, scores: np.ndarray) -> float:
     rank_sum = ranks[labels].sum()
     u_statistic = rank_sum - n_pos * (n_pos + 1) / 2.0
     return float(u_statistic / (n_pos * n_neg))
-
-
-def explanation_auc(
-    edge_scores: Dict[Tuple[int, int], float],
-    gt_edges: Dict[Tuple[int, int], float],
-    candidate_edges: np.ndarray,
-) -> float:
-    """AUC of explanation edge scores against motif ground truth.
-
-    Parameters
-    ----------
-    edge_scores:
-        Mapping of directed edge → importance assigned by the explainer
-        (missing edges score 0).
-    gt_edges:
-        Ground-truth motif edges (directed), as produced by
-        :func:`repro.datasets.attach_ground_truth`.
-    candidate_edges:
-        ``(2, E)`` edges over which the AUC is evaluated — conventionally
-        the edges incident to the evaluated motif nodes' neighbourhoods.
-    """
-    labels = np.zeros(candidate_edges.shape[1])
-    scores = np.zeros(candidate_edges.shape[1])
-    for col in range(candidate_edges.shape[1]):
-        key = (int(candidate_edges[0, col]), int(candidate_edges[1, col]))
-        labels[col] = 1.0 if key in gt_edges else 0.0
-        scores[col] = edge_scores.get(key, 0.0)
-    return roc_auc_score(labels, scores)
 
 
 def fidelity_plus(
@@ -112,46 +84,6 @@ def fidelity_plus(
 
     correct_before = (original_predictions == labels).astype(np.float64)
     correct_after = (masked_predictions == labels).astype(np.float64)
-    deltas = correct_before - correct_after
-    if mask is not None:
-        deltas = deltas[np.asarray(mask, dtype=bool)]
-    return float(deltas.mean())
-
-
-def fidelity_minus(
-    predict: Callable[[np.ndarray], np.ndarray],
-    features: np.ndarray,
-    labels: np.ndarray,
-    feature_importance: np.ndarray,
-    top_k: int = 5,
-    mask: Optional[np.ndarray] = None,
-) -> float:
-    """Fidelity- :sup:`acc` — the Fidelity+ companion (Pope et al., 2019).
-
-    Keeps *only* each node's ``top_k`` most important features and measures
-    the accuracy drop.  A good explanation has **high Fidelity+** (removing
-    its features hurts) and **low Fidelity−** (keeping only its features
-    suffices), so the pair brackets explanation quality from both sides.
-    """
-    features = np.asarray(features, dtype=np.float64)
-    importance = np.asarray(feature_importance, dtype=np.float64)
-    if importance.shape != features.shape:
-        raise ValueError(
-            f"importance shape {importance.shape} != features shape {features.shape}"
-        )
-    original_predictions = predict(features)
-
-    kept = np.zeros_like(features)
-    # top_k beyond the feature count means "keep everything".
-    top_k = min(int(top_k), features.shape[1])
-    ranked = np.argsort(-importance, axis=1)[:, :top_k]
-    rows = np.repeat(np.arange(features.shape[0]), top_k)
-    columns = ranked.ravel()
-    kept[rows, columns] = features[rows, columns]
-    kept_predictions = predict(kept)
-
-    correct_before = (original_predictions == labels).astype(np.float64)
-    correct_after = (kept_predictions == labels).astype(np.float64)
     deltas = correct_before - correct_after
     if mask is not None:
         deltas = deltas[np.asarray(mask, dtype=bool)]

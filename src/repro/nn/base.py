@@ -50,10 +50,15 @@ def add_self_loops(edge_index: np.ndarray, num_nodes: int) -> np.ndarray:
 
 def looped_constants(
     edge_index: np.ndarray, num_nodes: int
-) -> Tuple[np.ndarray, EdgeLayouts]:
-    """Self-looped edge index plus its cached CSR layout pair."""
+) -> Tuple[np.ndarray, EdgeLayouts, CSRSegmentLayout]:
+    """Self-looped edge index, its CSR layout pair, and the destination
+    layout of the un-looped edges (for :func:`extend_edge_weight_scaled`)."""
     full_index = add_self_loops(edge_index, num_nodes)
-    return full_index, edge_layouts(full_index, num_nodes)
+    return (
+        full_index,
+        edge_layouts(full_index, num_nodes),
+        CSRSegmentLayout(edge_index[1], num_nodes),
+    )
 
 
 def extend_edge_weight(edge_weight: Optional[Tensor], num_nodes: int) -> Optional[Tensor]:
@@ -65,10 +70,7 @@ def extend_edge_weight(edge_weight: Optional[Tensor], num_nodes: int) -> Optiona
 
 
 def extend_edge_weight_scaled(
-    edge_weight: Optional[Tensor],
-    edge_index: np.ndarray,
-    num_nodes: int,
-    layout: Optional[CSRSegmentLayout] = None,
+    edge_weight: Optional[Tensor], dst_layout: CSRSegmentLayout
 ) -> Optional[Tensor]:
     """Extend mask weights with *mean-scaled* self-loop weights.
 
@@ -77,18 +79,18 @@ def extend_edge_weight_scaled(
     the masked aggregation exactly invariant to a uniform rescaling of the
     mask — the classification loss can only profit from the mask by
     *re-ranking* neighbours, never by inflating or deflating all weights
-    (which would otherwise let it bypass the subgraph loss).
+    (which would otherwise let it bypass the subgraph loss).  ``dst_layout``
+    is the destination layout of the un-looped edges that ``edge_weight``
+    is aligned with (the third entry of :func:`looped_constants`).
     """
     if edge_weight is None:
         return None
-    dst = edge_index[1]
-    if layout is not None:
-        counts = layout.counts.astype(np.float64)
-    else:
-        counts = np.bincount(dst, minlength=num_nodes).astype(np.float64)
+    counts = dst_layout.counts.astype(np.float64)
     isolated = counts == 0
     safe_counts = np.maximum(counts, 1.0)
-    incoming_sum = segment_sum(edge_weight, dst, num_nodes, layout=layout)
+    incoming_sum = segment_sum(
+        edge_weight, dst_layout.segment_ids, dst_layout.num_segments, layout=dst_layout
+    )
     self_weights = incoming_sum * as_tensor(1.0 / safe_counts)
     if isolated.any():
         self_weights = self_weights + as_tensor(isolated.astype(np.float64))

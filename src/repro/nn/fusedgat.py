@@ -30,7 +30,9 @@ class FusedGATConv(GATConv):
         num_nodes: int,
         edge_weight: Optional[Tensor] = None,
     ) -> Tensor:
-        full_index, layouts = self._cached(looped_constants, edge_index, num_nodes)
+        full_index, layouts, edge_dst = self._cached(
+            looped_constants, edge_index, num_nodes
+        )
         src, dst = full_index
         h = (x @ self.weight).reshape(num_nodes, self.heads, self.head_dim)
         # Fusion: reduce the attention dot products to per-node scalars
@@ -50,7 +52,7 @@ class FusedGATConv(GATConv):
         alpha = segment_softmax(edge_scores, dst, num_nodes, layout=layouts.dst)
         self.last_attention = alpha.data.copy()
         self.last_edge_index = full_index
-        w = extend_edge_weight_scaled(edge_weight, edge_index, num_nodes)
+        w = extend_edge_weight_scaled(edge_weight, edge_dst)
         if w is not None:
             # Renormalise mask-reweighted attention per destination (see GATConv).
             alpha = alpha * w.reshape(-1, 1)

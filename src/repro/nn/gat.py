@@ -75,7 +75,9 @@ class GATConv(GraphConv):
         num_nodes: int,
         edge_weight: Optional[Tensor] = None,
     ) -> Tensor:
-        full_index, layouts = self._cached(looped_constants, edge_index, num_nodes)
+        full_index, layouts, edge_dst = self._cached(
+            looped_constants, edge_index, num_nodes
+        )
         src, dst = full_index
         h = (x @ self.weight).reshape(num_nodes, self.heads, self.head_dim)
         # Additive attention: alpha_e = leakyrelu(a_s . h_src + a_d . h_dst).
@@ -88,7 +90,7 @@ class GATConv(GraphConv):
         alpha = segment_softmax(edge_scores, dst, num_nodes, layout=layouts.dst)  # (E, H)
         self.last_attention = alpha.data.copy()
         self.last_edge_index = full_index
-        w = extend_edge_weight_scaled(edge_weight, edge_index, num_nodes)
+        w = extend_edge_weight_scaled(edge_weight, edge_dst)
         if w is not None:
             # Mask-reweighted attention, renormalised per destination so a
             # uniform mask inflation cannot game the classification loss.

@@ -72,8 +72,10 @@ class GCNConv(GraphConv):
         the classification loss by *re-weighting* neighbours (the behaviour
         Eq. 8 is meant to train).
         """
-        full_index, layouts = self._cached(looped_constants, edge_index, num_nodes)
-        w = extend_edge_weight_scaled(edge_weight, edge_index, num_nodes)
+        full_index, layouts, edge_dst = self._cached(
+            looped_constants, edge_index, num_nodes
+        )
+        w = extend_edge_weight_scaled(edge_weight, edge_dst)
         src, dst = full_index
         degree = segment_sum(w, dst, num_nodes, layout=layouts.dst) + as_tensor(1e-9)
         inv_sqrt = degree ** -0.5

@@ -52,7 +52,9 @@ class TransformerConv(GraphConv):
         num_nodes: int,
         edge_weight: Optional[Tensor] = None,
     ) -> Tensor:
-        full_index, layouts = self._cached(looped_constants, edge_index, num_nodes)
+        full_index, layouts, edge_dst = self._cached(
+            looped_constants, edge_index, num_nodes
+        )
         src, dst = full_index
         shape = (num_nodes, self.heads, self.head_dim)
         query = (x @ self.weight_query).reshape(*shape)
@@ -65,7 +67,7 @@ class TransformerConv(GraphConv):
         scores = scores * (1.0 / np.sqrt(self.head_dim))
         alpha = segment_softmax(scores, dst, num_nodes, layout=layouts.dst)
         self.last_attention = alpha.data.copy()
-        w = extend_edge_weight_scaled(edge_weight, edge_index, num_nodes)
+        w = extend_edge_weight_scaled(edge_weight, edge_dst)
         if w is not None:
             # Renormalise mask-reweighted attention per destination (see GATConv).
             alpha = alpha * w.reshape(-1, 1)

@@ -2,10 +2,10 @@
 
 Every conv layer funnels its aggregation through the primitives in
 :mod:`repro.tensor.scatter` or the fused :func:`repro.tensor.sparse.edge_spmm`.
-The scatter primitives' naive implementations scatter with
-``np.add.at`` / ``np.maximum.at``, which dispatch one python-level ufunc
-inner loop per element — an order of magnitude slower than a contiguous
-reduction.  :class:`CSRSegmentLayout` precomputes, once per edge topology,
+A dense scatter with ``np.add.at`` / ``np.maximum.at`` dispatches one
+python-level ufunc inner loop per element — an order of magnitude slower
+than a contiguous reduction.  :class:`CSRSegmentLayout` precomputes, once
+per edge topology,
 
 * ``perm`` — a stable destination-sorted permutation of the edge list, and
 * ``indptr`` — CSR-style row pointers into the sorted order,
@@ -15,8 +15,8 @@ row ``v`` selects exactly segment ``v``'s run of the sorted order.  Segment
 sums then ride scipy's C SpMM kernel (with the permutation folded into the
 column indices, so no separate permute pass is needed), and segment maxima
 use ``np.maximum.reduceat`` over the same sorted layout.  Measured at Cora
-scale this is ~10–15x faster than ``np.add.at`` for ``(E, F)`` operands —
-see results/BENCH_kernels.json and docs/PERF.md.
+scale this was ~15x faster than ``np.add.at`` for ``(E, F)`` operands — see
+docs/PERF.md.
 
 The layout also owns reused scratch buffers: the backward closures of the
 scatter primitives write their dense ``(N, F)`` adjoints into per-layout

@@ -203,32 +203,10 @@ def cross_entropy(logits: Tensor, labels: np.ndarray, mask: Optional[np.ndarray]
     return -picked.mean()
 
 
-def nll_loss(log_probs: Tensor, labels: np.ndarray, mask: Optional[np.ndarray] = None) -> Tensor:
-    """Negative log-likelihood for inputs that are already log-probabilities."""
-    labels = np.asarray(labels)
-    rows = np.arange(len(labels))
-    picked = log_probs[rows, labels]
-    if mask is not None:
-        mask = np.asarray(mask)
-        if mask.dtype == bool:
-            picked = picked[np.flatnonzero(mask)]
-        else:
-            picked = picked[mask]
-    return -picked.mean()
-
-
 def l1_loss(prediction: Tensor, target: np.ndarray) -> Tensor:
     """Mean absolute error, the form of the subgraph loss (paper Eq. 7)."""
     target_tensor = as_tensor(target)
     return (prediction - target_tensor).abs().mean()
-
-
-def binary_cross_entropy(probabilities: Tensor, target: np.ndarray, eps: float = 1e-9) -> Tensor:
-    """BCE over probabilities in ``(0, 1)``; used by GNNExplainer-style masks."""
-    target_tensor = as_tensor(target)
-    clipped = probabilities.clip(eps, 1.0 - eps)
-    losses = -(target_tensor * clipped.log() + (1.0 - target_tensor) * (1.0 - clipped).log())
-    return losses.mean()
 
 
 def pairwise_l2(a: Tensor, b: Tensor, eps: float = 1e-12) -> Tensor:

@@ -1,8 +1,8 @@
 """Minimal neural-network module system (the ``torch.nn`` substitute).
 
 :class:`Module` provides recursive parameter discovery, train/eval mode, and
-gradient zeroing.  :class:`Linear`, :class:`MLP`, :class:`Sequential` and
-:class:`Dropout` cover every architecture in the SES stack; graph
+gradient zeroing.  :class:`Linear`, :class:`MLP` and :class:`Dropout`
+cover every architecture in the SES stack; graph
 convolutions in :mod:`repro.nn` subclass :class:`Module` as well.
 """
 
@@ -132,23 +132,6 @@ class Dropout(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return F.dropout(x, self.p, training=self.training, rng=self.rng)
-
-
-class Sequential(Module):
-    """Apply modules in order; callables (activations) may be interleaved."""
-
-    def __init__(self, *layers) -> None:
-        super().__init__()
-        self.layers: List = []
-        for i, layer in enumerate(layers):
-            if isinstance(layer, Module):
-                self.register_module(f"layer_{i}", layer)
-            self.layers.append(layer)
-
-    def forward(self, x: Tensor) -> Tensor:
-        for layer in self.layers:
-            x = layer(x)
-        return x
 
 
 class MLP(Module):

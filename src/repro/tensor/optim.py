@@ -1,7 +1,7 @@
 """Gradient-descent optimisers.
 
 The paper trains every model with Adam at learning rate ``3e-3``
-(Experimental Settings, §5.3); SGD is provided for tests and ablations.
+(Experimental Settings, §5.3).
 """
 
 from __future__ import annotations
@@ -56,52 +56,6 @@ class Optimizer:
                     f"{param.data.shape}"
                 )
         return arrays
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and weight decay."""
-
-    def __init__(
-        self,
-        params: Sequence[Tensor],
-        lr: float = 0.01,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-    ) -> None:
-        super().__init__(params)
-        self.lr = lr
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self) -> None:
-        for param, velocity in zip(self.params, self._velocity):
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            if self.momentum:
-                velocity *= self.momentum
-                velocity += grad
-                grad = velocity
-            param.data -= self.lr * grad
-
-    def state_dict(self) -> Dict:
-        return {
-            "lr": self.lr,
-            "momentum": self.momentum,
-            "weight_decay": self.weight_decay,
-            "velocity": [v.copy() for v in self._velocity],
-        }
-
-    def load_state_dict(self, state: Dict) -> None:
-        velocity = self._check_slots(state, "velocity")
-        self.lr = float(state["lr"])
-        self.momentum = float(state["momentum"])
-        self.weight_decay = float(state["weight_decay"])
-        for slot, array in zip(self._velocity, velocity):
-            slot[...] = array
 
 
 class Adam(Optimizer):

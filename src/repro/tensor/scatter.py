@@ -10,21 +10,16 @@ respect to the edge weights.  A plain edge-weighted sum (the GCN-family
 aggregation) is one fused op instead, :func:`repro.tensor.sparse.edge_spmm`,
 which never forms the per-edge message array.
 
-Each primitive runs on the CSR path by default and keeps a reference:
-
-* the **CSR path** reduces over a destination-sorted edge layout
-  (:class:`~repro.tensor.csr.CSRSegmentLayout`): sums ride the layout's CSR
-  aggregation operator through scipy's C SpMM kernel, maxima use
-  ``np.maximum.reduceat`` over the sorted runs, and the backward closures
-  reuse the layout's scratch buffers.  Callers with a fixed topology pass
-  the memoised layout via ``layout=``; otherwise a content-keyed global
-  cache resolves it transparently.
-* the **naive path** (``naive=True``) is the original dense-scatter
-  reference built on ``np.add.at`` / ``np.maximum.at``.  It is kept as the
-  differential-test oracle (``tests/tensor/test_scatter_differential.py``,
-  ``scripts/selfcheck.py``) and as an escape hatch — see docs/PERF.md.
-
-Both paths produce the same values up to float summation order.
+Each primitive reduces over a destination-sorted edge layout
+(:class:`~repro.tensor.csr.CSRSegmentLayout`): sums ride the layout's CSR
+aggregation operator through scipy's C SpMM kernel, maxima use
+``np.maximum.reduceat`` over the sorted runs, and the backward closures
+reuse the layout's scratch buffers.  Callers with a fixed topology pass the
+memoised layout via ``layout=``; otherwise a content-keyed global cache
+resolves it transparently.  The dense-scatter ``np.add.at`` /
+``np.maximum.at`` reference these kernels are checked against lives in the
+tests (``tests/oracles.py``) and in ``scripts/selfcheck.py``; both agree
+with the kernels up to float summation order.
 
 :func:`pair_mlp` builds on the same layouts: it scores endpoint pairs with
 a 2-layer MLP over their concatenated rows without forming that
@@ -67,37 +62,34 @@ def gather_rows(
     x: Tensor,
     index: np.ndarray,
     layout: Optional[CSRSegmentLayout] = None,
-    naive: bool = False,
 ) -> Tensor:
     """Select rows ``x[index]``; the adjoint scatter-adds into the source.
 
     ``index`` may repeat (it is typically the source column of an edge
-    list).  The CSR backward segment-sums the incoming gradient through the
-    cached layout's aggregation operator into a reused workspace;
-    ``naive=True`` restores the original ``np.add.at`` scatter.
+    list).  The backward segment-sums the incoming gradient through the
+    cached layout's aggregation operator into a reused workspace.
     """
     index = np.asarray(index, dtype=np.int64)
     out_data = x.data[index]
     n_rows = x.shape[0]
     trailing = x.shape[1:]
     # The CSR adjoint requires a flat, in-range index (layouts reject
-    # anything else); exotic gathers keep the reference scatter.
-    use_naive = naive or index.ndim != 1
-    if not use_naive and layout is None and index.size and int(index.min()) < 0:
-        use_naive = True
+    # anything else); other gathers scatter with ``np.add.at``.
+    csr_adjoint = index.ndim == 1 and (
+        layout is not None or not index.size or int(index.min()) >= 0
+    )
+    if csr_adjoint:
 
-    if use_naive:
+        def backward(grad: np.ndarray) -> None:
+            resolved = _resolve_layout(layout, index, n_rows, index.shape[0])
+            x._accumulate(resolved.scatter_add(grad, role="gather_rows"))
+
+    else:
 
         def backward(grad: np.ndarray) -> None:
             full = np.zeros((n_rows, *trailing), dtype=np.float64)
             np.add.at(full, index, grad)
             x._accumulate(full)
-
-    else:
-
-        def backward(grad: np.ndarray) -> None:
-            resolved = _resolve_layout(layout, index, n_rows, index.shape[0])
-            x._accumulate(resolved.scatter_add(grad, role="gather_rows"))
 
     return Tensor._make(out_data, (x,), backward)
 
@@ -205,27 +197,22 @@ def segment_sum(
     segment_ids: np.ndarray,
     num_segments: int,
     layout: Optional[CSRSegmentLayout] = None,
-    naive: bool = False,
 ) -> Tensor:
     """Sum rows of ``x`` into ``num_segments`` buckets given by ``segment_ids``.
 
     The forward is the scatter-add of message passing; its adjoint is a
-    plain gather.  The CSR path sums contiguous destination-sorted runs via
-    the layout's aggregation operator; ``naive=True`` restores ``np.add.at``.
+    plain gather.  Contiguous destination-sorted runs are summed via the
+    layout's aggregation operator.
     """
     segment_ids = np.asarray(segment_ids, dtype=np.int64)
     if segment_ids.shape[0] != x.shape[0]:
         raise ValueError(
             f"segment_ids has {segment_ids.shape[0]} entries for {x.shape[0]} rows"
         )
-    if naive:
-        out_data = np.zeros((num_segments, *x.shape[1:]), dtype=np.float64)
-        np.add.at(out_data, segment_ids, x.data)
-    else:
-        resolved = _resolve_layout(layout, segment_ids, num_segments, x.shape[0])
-        # Forward output becomes tensor storage — allocated fresh, never the
-        # layout's scratch.
-        out_data = resolved.segment_add(x.data)
+    resolved = _resolve_layout(layout, segment_ids, num_segments, x.shape[0])
+    # Forward output becomes tensor storage — allocated fresh, never the
+    # layout's scratch.
+    out_data = resolved.segment_add(x.data)
 
     def backward(grad: np.ndarray) -> None:
         x._accumulate(grad[segment_ids], owned=True)
@@ -238,7 +225,6 @@ def segment_mean(
     segment_ids: np.ndarray,
     num_segments: int,
     layout: Optional[CSRSegmentLayout] = None,
-    naive: bool = False,
 ) -> Tensor:
     """Average rows per segment (GraphSAGE's mean aggregator).
 
@@ -249,13 +235,9 @@ def segment_mean(
         raise ValueError(
             f"segment_ids has {segment_ids.shape[0]} entries for {x.shape[0]} rows"
         )
-    if naive:
-        counts = np.bincount(segment_ids, minlength=num_segments).astype(np.float64)
-    else:
-        layout = _resolve_layout(layout, segment_ids, num_segments, x.shape[0])
-        counts = layout.counts.astype(np.float64)
-    counts = np.maximum(counts, 1.0)
-    summed = segment_sum(x, segment_ids, num_segments, layout=layout, naive=naive)
+    layout = _resolve_layout(layout, segment_ids, num_segments, x.shape[0])
+    counts = np.maximum(layout.counts.astype(np.float64), 1.0)
+    summed = segment_sum(x, segment_ids, num_segments, layout=layout)
     shape = (num_segments,) + (1,) * (x.ndim - 1)
     return summed * as_tensor(1.0 / counts.reshape(shape))
 
@@ -265,7 +247,6 @@ def segment_softmax(
     segment_ids: np.ndarray,
     num_segments: int,
     layout: Optional[CSRSegmentLayout] = None,
-    naive: bool = False,
 ) -> Tensor:
     """Softmax over edges grouped by destination node (GAT attention).
 
@@ -286,15 +267,10 @@ def segment_softmax(
             f"segment_ids has {segment_ids.shape[0]} entries for "
             f"{scores.shape[0]} rows"
         )
-    if naive:
-        seg_max = np.full((num_segments, *scores.shape[1:]), -np.inf)
-        if segment_ids.size:
-            np.maximum.at(seg_max, segment_ids, scores.data)
-    else:
-        layout = _resolve_layout(layout, segment_ids, num_segments, scores.shape[0])
-        seg_max = layout.segment_max(scores.data)
+    layout = _resolve_layout(layout, segment_ids, num_segments, scores.shape[0])
+    seg_max = layout.segment_max(scores.data)
     seg_max[~np.isfinite(seg_max)] = 0.0
     shifted = scores - as_tensor(seg_max[segment_ids])
     exp = shifted.exp()
-    denom = segment_sum(exp, segment_ids, num_segments, layout=layout, naive=naive)
-    return exp / gather_rows(denom, segment_ids, layout=layout, naive=naive)
+    denom = segment_sum(exp, segment_ids, num_segments, layout=layout)
+    return exp / gather_rows(denom, segment_ids, layout=layout)

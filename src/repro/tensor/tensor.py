@@ -50,11 +50,6 @@ class no_grad:
         _grad_enabled = self._previous
 
 
-def is_grad_enabled() -> bool:
-    """Return whether operations are currently recorded on the tape."""
-    return _grad_enabled
-
-
 def unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     """Reduce ``grad`` so it matches ``shape`` after numpy broadcasting.
 

@@ -1,14 +1,14 @@
 """Deterministic seeding helpers.
 
 Every stochastic component in the reproduction accepts an explicit
-``numpy.random.Generator``; these helpers create and split them so
+``numpy.random.Generator``; these helpers create and checkpoint them so
 experiments are reproducible end to end.
 """
 
 from __future__ import annotations
 
 import copy
-from typing import Any, Dict, List
+from typing import Any, Dict
 
 import numpy as np
 
@@ -16,12 +16,6 @@ import numpy as np
 def make_rng(seed: int) -> np.random.Generator:
     """Create a generator from an integer seed."""
     return np.random.default_rng(seed)
-
-
-def split_rng(rng: np.random.Generator, count: int) -> List[np.random.Generator]:
-    """Derive ``count`` independent child generators from ``rng``."""
-    seeds = rng.integers(0, 2**63 - 1, size=count)
-    return [np.random.default_rng(int(s)) for s in seeds]
 
 
 def capture_rng_state(rng: np.random.Generator) -> Dict[str, Any]:

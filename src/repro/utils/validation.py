@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 
 def check_probability(value: float, name: str) -> float:
     """Validate that ``value`` lies in [0, 1]."""
@@ -26,13 +24,3 @@ def check_positive_int(value: int, name: str) -> int:
     if int(value) != value or value <= 0:
         raise ValueError(f"{name} must be a positive integer, got {value}")
     return int(value)
-
-
-def check_labels(labels: np.ndarray, num_nodes: int) -> np.ndarray:
-    """Validate an integer label vector."""
-    labels = np.asarray(labels)
-    if labels.shape != (num_nodes,):
-        raise ValueError(f"labels must have shape ({num_nodes},), got {labels.shape}")
-    if labels.min() < 0:
-        raise ValueError("labels must be non-negative")
-    return labels.astype(np.int64)

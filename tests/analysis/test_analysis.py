@@ -114,61 +114,3 @@ class TestMaskDynamics:
     def test_ascii_heatmap_constant_input(self):
         art = ascii_heatmap(np.full((3, 3), 0.5))
         assert isinstance(art, str)
-
-
-class TestRandomSearch:
-    def test_search_selects_by_validation(self, small_cora):
-        from repro.analysis import random_search
-        from repro.core import fast_config
-
-        base = fast_config("gcn", explainable_epochs=4, predictive_epochs=1)
-        result = random_search(
-            small_cora, base,
-            space={"alpha": (0.2, 0.8), "k_hops": [1]},
-            trials=3, seed=0,
-        )
-        assert len(result.trials) == 3
-        best = result.best
-        assert best.validation_accuracy == max(
-            t.validation_accuracy for t in result.trials
-        )
-        assert "alpha" in best.params
-
-    def test_search_requires_validation_split(self, small_cora):
-        import numpy as np
-        import pytest as _pytest
-        from repro.analysis import random_search
-        from repro.core import fast_config
-        from repro.graph import Graph
-
-        bare = Graph(
-            adjacency=small_cora.adjacency,
-            features=small_cora.features,
-            labels=small_cora.labels,
-            train_mask=small_cora.train_mask,
-            test_mask=small_cora.test_mask,
-        )
-        with _pytest.raises(ValueError):
-            random_search(bare, fast_config(), trials=1)
-
-    def test_sampler_log_uniform_and_categorical(self):
-        import numpy as np
-        from repro.analysis.tuning import _sample
-
-        rng = np.random.default_rng(0)
-        draws = [
-            _sample({"lr": (1e-4, 1e-1), "k": [1, 2, 3], "flat": (0.2, 0.4)}, rng)
-            for _ in range(50)
-        ]
-        lrs = [d["lr"] for d in draws]
-        assert min(lrs) >= 1e-4 and max(lrs) <= 1e-1
-        # Log-uniform: median far below the arithmetic midpoint.
-        assert np.median(lrs) < 0.02
-        assert set(d["k"] for d in draws) <= {1, 2, 3}
-        assert all(0.2 <= d["flat"] <= 0.4 for d in draws)
-
-    def test_summary_renders(self, small_cora):
-        from repro.analysis import SearchResult, Trial
-
-        result = SearchResult(trials=[Trial({"a": 1}, 0.9, 0.8)])
-        assert "0.900" in result.summary()

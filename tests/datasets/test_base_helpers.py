@@ -6,7 +6,6 @@ import pytest
 from repro.datasets.base import (
     attach_ground_truth,
     directed_pairs,
-    ground_truth_edge_labels,
     perturb_with_random_edges,
 )
 from repro.graph import Graph
@@ -36,22 +35,6 @@ class TestAttachGroundTruth:
         graph = Graph.from_edges(4, np.array([(0, 1)]))
         attach_ground_truth(graph, set(), [3, 1, 1, 0])
         np.testing.assert_array_equal(graph.extra["motif_nodes"], [0, 1, 3])
-
-
-class TestGroundTruthLabels:
-    def test_alignment_with_edge_index(self):
-        graph = Graph.from_edges(4, np.array([(0, 1), (1, 2), (2, 3)]))
-        attach_ground_truth(graph, directed_pairs([(1, 2)]), [1, 2])
-        labels = ground_truth_edge_labels(graph, graph.edge_index())
-        edge_index = graph.edge_index()
-        for column in range(edge_index.shape[1]):
-            expected = 1.0 if {edge_index[0, column], edge_index[1, column]} == {1, 2} else 0.0
-            assert labels[column] == expected
-
-    def test_no_ground_truth_gives_zeros(self):
-        graph = Graph.from_edges(3, np.array([(0, 1)]))
-        labels = ground_truth_edge_labels(graph, graph.edge_index())
-        assert labels.sum() == 0
 
 
 class TestPerturbation:

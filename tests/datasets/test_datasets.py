@@ -10,11 +10,8 @@ from repro.datasets import (
     cora_like,
     cs_like,
     dataset_names,
-    ground_truth_edge_labels,
     load_dataset,
     polblogs_like,
-    real_world_names,
-    synthetic_names,
     tree_cycle,
     tree_grid,
 )
@@ -42,12 +39,6 @@ class TestSynthetic:
         graph = ba_shapes(base_nodes=50, num_motifs=6, noise_fraction=0.0, seed=0)
         for (u, v) in graph.extra["gt_edge_mask"]:
             assert graph.has_edge(u, v)
-
-    def test_ground_truth_labels_align(self):
-        graph = ba_shapes(base_nodes=50, num_motifs=6, seed=0)
-        labels = ground_truth_edge_labels(graph, graph.edge_index())
-        assert labels.sum() > 0
-        assert labels.shape == (graph.num_edges,)
 
     def test_ba_community_two_communities(self):
         graph = ba_community(base_nodes=60, num_motifs=8, seed=0)
@@ -134,8 +125,10 @@ class TestRealWorldSurrogates:
 
 class TestRegistry:
     def test_names(self):
-        assert set(real_world_names()) <= set(dataset_names())
-        assert set(synthetic_names()) <= set(dataset_names())
+        assert set(dataset_names()) == {
+            "cora", "citeseer", "polblogs", "cs",
+            "ba_shapes", "ba_community", "tree_cycle", "tree_grid",
+        }
         assert len(dataset_names()) == 8
 
     def test_load_by_name_case_insensitive(self):

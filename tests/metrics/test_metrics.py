@@ -7,10 +7,8 @@ from repro.metrics import (
     accuracy,
     calinski_harabasz_score,
     confusion_matrix,
-    explanation_auc,
     fidelity_plus,
     logits_to_predictions,
-    macro_f1,
     roc_auc_score,
     silhouette_score,
     sparsity,
@@ -37,13 +35,6 @@ class TestClassification:
     def test_confusion_matrix(self):
         matrix = confusion_matrix(np.array([0, 1, 1]), np.array([0, 0, 1]), 2)
         np.testing.assert_array_equal(matrix, [[1, 1], [0, 1]])
-
-    def test_macro_f1_perfect(self):
-        labels = np.array([0, 1, 2, 0, 1, 2])
-        assert macro_f1(labels, labels) == 1.0
-
-    def test_macro_f1_worst(self):
-        assert macro_f1(np.array([1, 1]), np.array([0, 0]), num_classes=2) == 0.0
 
     def test_logits_to_predictions(self):
         logits = np.array([[0.1, 0.9], [0.8, 0.2]])
@@ -112,21 +103,6 @@ class TestRocAuc:
             assert roc_auc_score(labels, scores) == pytest.approx(
                 self._reference_auc(labels, scores), abs=1e-12
             )
-
-
-class TestExplanationAuc:
-    def test_scores_missing_edges_as_zero(self):
-        candidates = np.array([[0, 1, 2], [1, 2, 0]])
-        gt = {(0, 1): 1.0}
-        scores = {(0, 1): 0.9}
-        auc = explanation_auc(scores, gt, candidates)
-        assert auc == 1.0
-
-    def test_wrong_ranking_detected(self):
-        candidates = np.array([[0, 1], [1, 0]])
-        gt = {(0, 1): 1.0}
-        scores = {(0, 1): 0.0, (1, 0): 1.0}
-        assert explanation_auc(scores, gt, candidates) == 0.0
 
 
 class TestFidelity:
@@ -235,70 +211,3 @@ class TestClustering:
     def test_calinski_requires_valid_cluster_count(self):
         with pytest.raises(ValueError):
             calinski_harabasz_score(np.ones((3, 1)), np.array([0, 1, 2]))
-
-
-class TestFidelityMinus:
-    @staticmethod
-    def _predictor():
-        def predict(features):
-            return (features[:, 0] > 0.5).astype(int)
-        return predict
-
-    def test_keeping_the_right_features_costs_nothing(self):
-        from repro.metrics import fidelity_minus
-
-        features = np.zeros((4, 3))
-        features[:2, 0] = 1.0
-        labels = np.array([1, 1, 0, 0])
-        importance = np.zeros_like(features)
-        importance[:, 0] = 1.0  # points at the feature the model uses
-        assert fidelity_minus(self._predictor(), features, labels, importance, top_k=1) == 0.0
-
-    def test_keeping_wrong_features_hurts(self):
-        from repro.metrics import fidelity_minus
-
-        features = np.zeros((4, 3))
-        features[:2, 0] = 1.0
-        labels = np.array([1, 1, 0, 0])
-        importance = np.zeros_like(features)
-        importance[:, 2] = 1.0  # keeps a useless feature, drops the real one
-        score = fidelity_minus(self._predictor(), features, labels, importance, top_k=1)
-        assert score == 0.5  # the two class-1 nodes lose their signal
-
-    def test_shape_validation(self):
-        from repro.metrics import fidelity_minus
-
-        with pytest.raises(ValueError):
-            fidelity_minus(self._predictor(), np.ones((2, 2)), np.ones(2), np.ones((3, 2)))
-
-    def test_top_k_beyond_feature_count_keeps_everything(self):
-        from repro.metrics import fidelity_minus
-
-        features = np.zeros((4, 3))
-        features[:2, 0] = 1.0
-        labels = np.array([1, 1, 0, 0])
-        importance = np.ones_like(features)
-        # Regression: top_k > F used to raise; clamped it keeps all features,
-        # so the prediction (and the score) match top_k = F exactly.
-        assert fidelity_minus(
-            self._predictor(), features, labels, importance, top_k=99
-        ) == fidelity_minus(self._predictor(), features, labels, importance, top_k=3)
-
-    def test_good_explanations_bracket(self, small_cora):
-        """For the same importance matrix, Fidelity+ >= Fidelity- when the
-        explanation genuinely identifies used features."""
-        from repro.core import SESTrainer, fast_config
-        from repro.metrics import fidelity_minus, fidelity_plus
-
-        trainer = SESTrainer(
-            small_cora, fast_config(explainable_epochs=15, predictive_epochs=2, seed=0)
-        )
-        trainer.fit()
-        importance = trainer.explanations().feature_explanation
-        plus = fidelity_plus(
-            trainer.predict, small_cora.features, small_cora.labels, importance, top_k=10
-        )
-        minus = fidelity_minus(
-            trainer.predict, small_cora.features, small_cora.labels, importance, top_k=10
-        )
-        assert plus >= minus - 0.05

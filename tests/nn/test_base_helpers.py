@@ -39,7 +39,7 @@ class TestSelfLoops:
 
     def test_scaled_loops_use_mean_incident_weight(self, edges):
         weights = Tensor(np.array([0.4, 0.8, 0.2]))
-        extended = extend_edge_weight_scaled(weights, edges, 4)
+        extended = extend_edge_weight_scaled(weights, looped_constants(edges, 4)[2])
         # Node 1 has one incoming edge (0 -> 1) of weight 0.4.
         np.testing.assert_allclose(extended.data[3 + 1], 0.4)
         # Node 3 is isolated: unit self-loop.
@@ -47,7 +47,7 @@ class TestSelfLoops:
 
     def test_scaled_loops_gradient_flows(self, edges):
         weights = Tensor(np.array([0.4, 0.8, 0.2]), requires_grad=True)
-        extended = extend_edge_weight_scaled(weights, edges, 4)
+        extended = extend_edge_weight_scaled(weights, looped_constants(edges, 4)[2])
         extended.sum().backward()
         assert weights.grad is not None
         # Each edge contributes once directly and once via its self-loop mean.

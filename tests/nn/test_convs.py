@@ -14,7 +14,8 @@ from repro.nn import (
     SAGEConv,
     TransformerConv,
 )
-from repro.tensor import Tensor
+from repro.tensor import Tensor, scatter, sparse
+from tests.oracles import gcn_normalized_adjacency
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +34,10 @@ ALL_CONVS = [
     ("arma", lambda rng: ARMAConv(4, 6, rng=rng)),
     ("transformer", lambda rng: TransformerConv(4, 6, heads=2, rng=rng)),
 ]
+
+
+# The convs whose mask reweighting gives self-loops the mean incident weight.
+MASKED_CONVS = [c for c in ALL_CONVS if c[0] in ("gcn", "gat", "fusedgat", "transformer")]
 
 
 class TestShapesAndGradients:
@@ -61,13 +66,30 @@ class TestShapesAndGradients:
         assert any(g is not None and np.abs(g).sum() > 0 for g in grads)
 
 
+@pytest.mark.parametrize("name,builder", MASKED_CONVS, ids=[n for n, _ in MASKED_CONVS])
+def test_repeated_masked_forward_needs_no_layout_lookup(name, builder, toy, monkeypatch):
+    """Every layout a masked forward and backward use, the self-loop
+    weights' included, comes from the conv's edge cache: a repeat never
+    consults the content-hashed global layout memo."""
+    graph, edge_index, x = toy
+    conv = builder(np.random.default_rng(0))
+    weight = Tensor(np.full(edge_index.shape[1], 0.7), requires_grad=True)
+    conv(x, edge_index, 4, edge_weight=weight).sum().backward()
+    calls = []
+    for module in (scatter, sparse):
+        lookup = module.cached_layout
+        monkeypatch.setattr(
+            module, "cached_layout", lambda *a, _f=lookup: calls.append(a) or _f(*a)
+        )
+    conv(x, edge_index, 4, edge_weight=weight).sum().backward()
+    assert calls == []
+
+
 class TestGCN:
     def test_matches_manual_normalized_aggregation(self, toy):
         graph, edge_index, x = toy
         conv = GCNConv(4, 3, bias=False, rng=np.random.default_rng(0))
-        from repro.graph import gcn_normalized_adjacency
-
-        expected = gcn_normalized_adjacency(graph).toarray() @ (x.data @ conv.weight.data)
+        expected = gcn_normalized_adjacency(graph) @ (x.data @ conv.weight.data)
         np.testing.assert_allclose(conv(x, edge_index, 4).data, expected, atol=1e-10)
 
     def test_masked_uniform_scaling_invariance(self, toy):

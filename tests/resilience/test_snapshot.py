@@ -16,7 +16,7 @@ from repro.resilience import (
     truncate_file,
     write_latest_pointer,
 )
-from repro.tensor import SGD, Adam, Tensor
+from repro.tensor import Adam, Tensor
 from repro.utils import capture_rng_state, restore_rng_state
 
 
@@ -40,7 +40,7 @@ class TestOptimizerState:
             optimizer.step()
 
     @pytest.mark.parametrize("factory", [
-        lambda p: SGD(p, lr=0.1, momentum=0.9),
+        lambda p: Adam(p, lr=0.1, betas=(0.5, 0.9)),
         lambda p: Adam(p, lr=0.05, weight_decay=1e-4),
     ])
     def test_state_dict_round_trip(self, factory):

@@ -107,7 +107,7 @@ def _assert_bit_equal(edge_index, num_nodes, h_shape, layouts):
 def khop_graph():
     """The k-hop edge list of a fit-full run (cora N=1000, k=2), self-looped."""
     graph = load_dataset("cora", seed=0, scale=1.0)
-    full_index, layouts = looped_constants(khop_edge_index(graph, 2), graph.num_nodes)
+    full_index, layouts, _ = looped_constants(khop_edge_index(graph, 2), graph.num_nodes)
     return full_index, graph.num_nodes, layouts
 
 

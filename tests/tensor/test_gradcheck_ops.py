@@ -2,8 +2,9 @@
 
 Each test pins one op's analytic backward against central differences via
 :func:`tests.tensor.gradcheck.assert_grad_close` (max relative error
-< 1e-5).  The scatter ops are checked on both the CSR kernel path and the
-``naive=True`` reference, including duplicate destinations and an empty
+< 1e-5).  The scatter ops are checked on both the library's CSR kernels
+and the dense ``np.add.at`` reference in ``tests/oracles.py`` (the oracle of
+the differential tests), including duplicate destinations and an empty
 segment; the conv sweep runs one forward of each of the eight layers.
 """
 
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import repro.tensor
 from repro.nn import (
     ARMAConv,
     ASDGNConv,
@@ -30,10 +32,8 @@ from repro.tensor import (
     functional as F,
     gather_rows,
     pair_mlp,
-    segment_mean,
-    segment_softmax,
-    segment_sum,
 )
+from tests import oracles
 from tests.tensor.gradcheck import assert_grad_close
 
 RNG = np.random.default_rng(42)
@@ -49,52 +49,43 @@ def _param(shape):
 
 
 # ----------------------------------------------------------------------
-# Scatter ops — CSR kernels and the naive reference
+# Scatter ops — CSR kernels and the dense reference
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("naive", [False, True], ids=["csr", "naive"])
+@pytest.mark.parametrize("ops", [repro.tensor, oracles], ids=["csr", "naive"])
 class TestScatterGradients:
-    def test_gather_rows(self, naive):
+    def test_gather_rows(self, ops):
         x = _param((4, 3))
-        assert_grad_close(lambda t: gather_rows(t, GATHER_INDEX, naive=naive), x)
+        assert_grad_close(lambda t: ops.gather_rows(t, GATHER_INDEX), x)
 
-    def test_segment_sum_vector(self, naive):
+    def test_segment_sum_vector(self, ops):
         values = _param((6,))
-        assert_grad_close(
-            lambda t: segment_sum(t, SEGMENT_IDS, NUM_SEGMENTS, naive=naive), values
-        )
+        assert_grad_close(lambda t: ops.segment_sum(t, SEGMENT_IDS, NUM_SEGMENTS), values)
 
-    def test_segment_sum_multihead(self, naive):
+    def test_segment_sum_multihead(self, ops):
         values = _param((6, 2))
-        assert_grad_close(
-            lambda t: segment_sum(t, SEGMENT_IDS, NUM_SEGMENTS, naive=naive), values
-        )
+        assert_grad_close(lambda t: ops.segment_sum(t, SEGMENT_IDS, NUM_SEGMENTS), values)
 
-    def test_segment_mean(self, naive):
+    def test_segment_mean(self, ops):
         values = _param((6, 3))
-        assert_grad_close(
-            lambda t: segment_mean(t, SEGMENT_IDS, NUM_SEGMENTS, naive=naive), values
-        )
+        assert_grad_close(lambda t: ops.segment_mean(t, SEGMENT_IDS, NUM_SEGMENTS), values)
 
-    def test_segment_softmax_vector(self, naive):
+    def test_segment_softmax_vector(self, ops):
         scores = _param((6,))
         assert_grad_close(
-            lambda t: segment_softmax(t, SEGMENT_IDS, NUM_SEGMENTS, naive=naive), scores
+            lambda t: ops.segment_softmax(t, SEGMENT_IDS, NUM_SEGMENTS), scores
         )
 
-    def test_segment_softmax_multihead(self, naive):
+    def test_segment_softmax_multihead(self, ops):
         scores = _param((6, 2))
         assert_grad_close(
-            lambda t: segment_softmax(t, SEGMENT_IDS, NUM_SEGMENTS, naive=naive), scores
+            lambda t: ops.segment_softmax(t, SEGMENT_IDS, NUM_SEGMENTS), scores
         )
 
-    def test_gather_then_segment_sum(self, naive):
+    def test_gather_then_segment_sum(self, ops):
         x = _param((4, 2))
         assert_grad_close(
-            lambda t: segment_sum(
-                gather_rows(t, GATHER_INDEX, naive=naive),
-                SEGMENT_IDS,
-                NUM_SEGMENTS,
-                naive=naive,
+            lambda t: ops.segment_sum(
+                ops.gather_rows(t, GATHER_INDEX), SEGMENT_IDS, NUM_SEGMENTS
             ),
             x,
         )
@@ -196,20 +187,10 @@ class TestFunctionalGradients:
         mask = np.array([True, True, False, True, True])
         assert_grad_close(lambda t: F.cross_entropy(t, labels, mask=mask), logits)
 
-    def test_nll_loss(self):
-        log_probs = Tensor(-RNG.uniform(0.5, 3.0, size=(5, 3)), requires_grad=True)
-        labels = np.array([2, 0, 1, 2, 1])
-        assert_grad_close(lambda t: F.nll_loss(t, labels), log_probs)
-
     def test_l1_loss(self):
         prediction = _param((4, 2))
         target = prediction.data + RNG.uniform(0.2, 1.0, size=(4, 2))
         assert_grad_close(lambda t: F.l1_loss(t, target), prediction)
-
-    def test_binary_cross_entropy(self):
-        probabilities = Tensor(RNG.uniform(0.1, 0.9, size=(6,)), requires_grad=True)
-        target = RNG.integers(0, 2, size=6).astype(np.float64)
-        assert_grad_close(lambda t: F.binary_cross_entropy(t, target), probabilities)
 
     def test_pairwise_l2(self):
         a, b = _param((4, 3)), _param((4, 3))

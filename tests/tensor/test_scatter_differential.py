@@ -1,11 +1,12 @@
-"""Property-based differential tests: CSR kernels vs the naive reference.
+"""Property-based differential tests: CSR kernels vs the dense reference.
 
-Every scatter primitive ships two implementations — the CSR segment
-kernels on the hot path and the ``naive=True`` dense-scatter reference.
-Hypothesis drives both with the same randomly generated problems
-(duplicate destinations, empty segments, single-node graphs, ``(E, H)``
-multi-head values, empty edge lists) and requires forward outputs and
-backward gradients to agree to float64 summation-order tolerance.
+Every scatter primitive runs on CSR segment kernels; ``tests/oracles.py``
+holds the dense-scatter reference written with ``np.add.at`` /
+``np.maximum.at``.  Hypothesis drives both with the same randomly generated
+problems (duplicate destinations, empty segments, single-node graphs,
+``(E, H)`` multi-head values, empty edge lists) and requires forward
+outputs and backward gradients to agree to float64 summation-order
+tolerance.
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ from repro.tensor import (
     segment_softmax,
     segment_sum,
 )
+from tests import oracles
 
-# Summation order differs between the CSR (sorted) and naive (edge-order)
+# Summation order differs between the CSR (sorted) and reference (edge-order)
 # accumulations, so exact equality is not guaranteed — only float64
 # round-off-level agreement.
 RTOL, ATOL = 1e-9, 1e-12
@@ -60,21 +62,21 @@ def segment_problems(draw, max_heads=0, min_segments=1):
     return values, ids, num_segments
 
 
-def run_both(op, values, ids, num_segments):
-    """Forward + backward through the CSR and naive paths; return both."""
-    results = []
-    for naive in (False, True):
-        tensor = Tensor(values.copy(), requires_grad=True)
-        out = op(tensor, ids, num_segments, naive=naive)
-        upstream = np.random.default_rng(0).standard_normal(out.data.shape)
-        (out * Tensor(upstream)).sum().backward()
-        grad = np.zeros_like(values) if tensor.grad is None else tensor.grad
-        results.append((out.data.copy(), grad.copy()))
-    return results
+def forward_backward(op, values, *args):
+    """Output and input gradient of ``op(values, *args)`` under a fixed
+    random upstream gradient."""
+    tensor = Tensor(values.copy(), requires_grad=True)
+    out = op(tensor, *args)
+    upstream = np.random.default_rng(0).standard_normal(out.data.shape)
+    (out * Tensor(upstream)).sum().backward()
+    grad = np.zeros_like(values) if tensor.grad is None else tensor.grad
+    return out.data.copy(), grad.copy()
 
 
-def assert_paths_agree(op, values, ids, num_segments):
-    (csr_out, csr_grad), (ref_out, ref_grad) = run_both(op, values, ids, num_segments)
+def assert_paths_agree(op, values, *args):
+    """``op`` and its namesake in ``tests/oracles.py`` agree forward and back."""
+    csr_out, csr_grad = forward_backward(op, values, *args)
+    ref_out, ref_grad = forward_backward(getattr(oracles, op.__name__), values, *args)
     np.testing.assert_allclose(csr_out, ref_out, rtol=RTOL, atol=ATOL)
     np.testing.assert_allclose(csr_grad, ref_grad, rtol=RTOL, atol=ATOL)
 
@@ -117,6 +119,9 @@ def test_segment_softmax_multihead_matches_reference(problem):
     assert_paths_agree(segment_softmax, *problem)
 
 
+SOFTMAXES = [segment_softmax, oracles.segment_softmax]
+
+
 class TestSegmentSoftmaxEmptySegments:
     """Regression: empty segments must yield zero gradients, never NaNs.
 
@@ -128,12 +133,12 @@ class TestSegmentSoftmaxEmptySegments:
     IDS = np.array([0, 3, 3, 0], dtype=np.int64)  # segments 1, 2, 4 empty
     NUM_SEGMENTS = 5
 
-    @pytest.mark.parametrize("naive", [False, True], ids=["csr", "naive"])
+    @pytest.mark.parametrize("softmax", SOFTMAXES, ids=["csr", "naive"])
     @pytest.mark.parametrize("shape", [(4,), (4, 3)], ids=["vector", "multihead"])
-    def test_empty_segments_nan_free_with_zero_gradient(self, naive, shape):
+    def test_empty_segments_nan_free_with_zero_gradient(self, softmax, shape):
         rng = np.random.default_rng(5)
         scores = Tensor(rng.normal(size=shape), requires_grad=True)
-        out = segment_softmax(scores, self.IDS, self.NUM_SEGMENTS, naive=naive)
+        out = softmax(scores, self.IDS, self.NUM_SEGMENTS)
         assert np.isfinite(out.data).all()
         # Each non-empty segment normalises to exactly one...
         sums = np.zeros((self.NUM_SEGMENTS, *shape[1:]))
@@ -146,13 +151,13 @@ class TestSegmentSoftmaxEmptySegments:
         assert np.isfinite(scores.grad).all()
         np.testing.assert_allclose(scores.grad, 0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("naive", [False, True], ids=["csr", "naive"])
+    @pytest.mark.parametrize("softmax", SOFTMAXES, ids=["csr", "naive"])
     @pytest.mark.parametrize("heads", [None, 2], ids=["vector", "multihead"])
-    def test_all_segments_empty(self, naive, heads):
+    def test_all_segments_empty(self, softmax, heads):
         shape = (0,) if heads is None else (0, heads)
         scores = Tensor(np.zeros(shape), requires_grad=True)
         ids = np.zeros(0, dtype=np.int64)
-        out = segment_softmax(scores, ids, 3, naive=naive)
+        out = softmax(scores, ids, 3)
         assert out.shape == shape
         assert np.isfinite(out.data).all()
         out.sum().backward()
@@ -185,15 +190,4 @@ def gather_problems(draw):
 @given(problem=gather_problems())
 @example(problem=(np.array([[1.0, 2.0]]), np.array([0, 0, 0], dtype=np.int64)))
 def test_gather_rows_matches_reference(problem):
-    x, index = problem
-    results = []
-    for naive in (False, True):
-        tensor = Tensor(x.copy(), requires_grad=True)
-        out = gather_rows(tensor, index, naive=naive)
-        upstream = np.random.default_rng(0).standard_normal(out.data.shape)
-        (out * Tensor(upstream)).sum().backward()
-        grad = np.zeros_like(x) if tensor.grad is None else tensor.grad
-        results.append((out.data.copy(), grad.copy()))
-    (csr_out, csr_grad), (ref_out, ref_grad) = results
-    np.testing.assert_allclose(csr_out, ref_out, rtol=RTOL, atol=ATOL)
-    np.testing.assert_allclose(csr_grad, ref_grad, rtol=RTOL, atol=ATOL)
+    assert_paths_agree(gather_rows, *problem)

@@ -6,12 +6,9 @@ import scipy.sparse as sp
 
 from repro.tensor import (
     MLP,
-    SGD,
     Adam,
-    Dropout,
     Linear,
     Module,
-    Sequential,
     Tensor,
     edge_spmm,
     functional as F,
@@ -75,11 +72,13 @@ class TestModule:
         assert net.num_parameters() == 3 * 4 + 4 + 4 * 2 + 2
 
     def test_train_eval_propagates(self, rng):
-        net = Sequential(Linear(2, 2, rng=rng), Dropout(0.5))
+        net = MLP((2, 4, 2), dropout=0.5, rng=rng)
+        x = Tensor(np.ones((8, 2)))
         net.eval()
-        assert not net.layers[1].training
+        assert not any(layer.training for layer in net.linears)
+        np.testing.assert_array_equal(net(x).data, net(x).data)  # dropout inert
         net.train()
-        assert net.layers[1].training
+        assert all(layer.training for layer in net.linears)
 
     def test_zero_grad_clears(self, rng):
         layer = Linear(2, 1, rng=rng)
@@ -138,10 +137,6 @@ class TestLinearAndMLP:
         bound = np.sqrt(6.0 / 200)
         assert np.abs(layer.weight.data).max() <= bound
 
-    def test_sequential_with_callable(self, rng):
-        net = Sequential(Linear(2, 2, rng=rng), F.relu, Linear(2, 1, rng=rng))
-        assert net(Tensor(np.ones((3, 2)))).shape == (3, 1)
-
 
 class TestOptimizers:
     @staticmethod
@@ -152,22 +147,6 @@ class TestOptimizers:
         optimizer.step()
         return loss.item()
 
-    def test_sgd_descends(self):
-        parameter = Tensor([5.0], requires_grad=True)
-        optimizer = SGD([parameter], lr=0.1)
-        losses = [self._quadratic_step(optimizer, parameter) for _ in range(30)]
-        assert losses[-1] < losses[0] * 0.01
-
-    def test_sgd_momentum_accelerates(self):
-        plain = Tensor([5.0], requires_grad=True)
-        momentum = Tensor([5.0], requires_grad=True)
-        opt_plain = SGD([plain], lr=0.01)
-        opt_momentum = SGD([momentum], lr=0.01, momentum=0.9)
-        for _ in range(20):
-            self._quadratic_step(opt_plain, plain)
-            self._quadratic_step(opt_momentum, momentum)
-        assert abs(momentum.data[0]) < abs(plain.data[0])
-
     def test_adam_converges(self):
         parameter = Tensor(np.array([3.0, -4.0]), requires_grad=True)
         optimizer = Adam([parameter], lr=0.1)
@@ -177,7 +156,7 @@ class TestOptimizers:
 
     def test_weight_decay_shrinks_parameters(self):
         parameter = Tensor([1.0], requires_grad=True)
-        optimizer = SGD([parameter], lr=0.1, weight_decay=0.5)
+        optimizer = Adam([parameter], lr=0.1, weight_decay=0.5)
         optimizer.zero_grad()
         parameter.grad = np.zeros(1)
         optimizer.step()

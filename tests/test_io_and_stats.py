@@ -1,17 +1,9 @@
-"""Tests for serialisation (repro.io) and graph statistics."""
+"""Tests for serialisation (repro.io)."""
 
 import numpy as np
-import pytest
 
 from repro import io
-from repro.graph import (
-    Graph,
-    connected_components,
-    degree_gini,
-    edge_homophily,
-    feature_class_correlation,
-    profile_graph,
-)
+from repro.graph import Graph
 from repro.nn import GraphEncoder
 from repro.tensor import Tensor
 
@@ -87,50 +79,3 @@ class TestExplanationsRoundtrip:
         np.testing.assert_allclose(loaded.feature_mask, explanations.feature_mask)
         assert (loaded.structure_mask != explanations.structure_mask).nnz == 0
         assert loaded.ranked_neighbors(0) == explanations.ranked_neighbors(0)
-
-
-class TestStats:
-    def test_homophily_perfect(self):
-        graph = Graph.from_edges(
-            4, np.array([(0, 1), (2, 3)]), labels=np.array([0, 0, 1, 1])
-        )
-        assert edge_homophily(graph) == 1.0
-
-    def test_homophily_zero(self):
-        graph = Graph.from_edges(
-            4, np.array([(0, 2), (1, 3)]), labels=np.array([0, 0, 1, 1])
-        )
-        assert edge_homophily(graph) == 0.0
-
-    def test_homophily_requires_labels(self):
-        with pytest.raises(ValueError):
-            edge_homophily(Graph.from_edges(2, np.array([(0, 1)])))
-
-    def test_gini_zero_for_regular(self):
-        triangle = Graph.from_edges(3, np.array([(0, 1), (1, 2), (2, 0)]))
-        assert degree_gini(triangle) == pytest.approx(0.0, abs=1e-9)
-
-    def test_gini_positive_for_star(self):
-        star = Graph.from_edges(5, np.array([(0, i) for i in range(1, 5)]))
-        assert degree_gini(star) == pytest.approx(0.3)
-
-    def test_feature_correlation_detects_signal(self):
-        labels = np.array([0] * 10 + [1] * 10)
-        features = np.zeros((20, 3))
-        features[labels == 1, 0] = 1.0  # perfectly class-aligned column
-        graph = Graph.from_edges(20, np.array([(0, 1)]), features=features, labels=labels)
-        assert feature_class_correlation(graph) > 0.9
-
-    def test_connected_components(self):
-        graph = Graph.from_edges(5, np.array([(0, 1), (2, 3)]))
-        components = connected_components(graph)
-        assert components[0] == components[1]
-        assert components[2] == components[3]
-        assert len({components[0], components[2], components[4]}) == 3
-
-    def test_profile_render(self, small_cora):
-        profile = profile_graph(small_cora)
-        text = profile.render()
-        assert "nodes: " in text and "homophily" in text
-        assert profile.homophily > 0.5  # surrogates are homophilous
-        assert profile.num_components >= 1

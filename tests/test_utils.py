@@ -7,7 +7,6 @@ import pytest
 
 from repro.utils import (
     Stopwatch,
-    check_labels,
     check_positive,
     check_positive_int,
     check_probability,
@@ -15,7 +14,6 @@ from repro.utils import (
     format_table,
     get_logger,
     make_rng,
-    split_rng,
     timed,
 )
 
@@ -84,16 +82,6 @@ class TestSeeding:
     def test_make_rng_deterministic(self):
         assert make_rng(5).random() == make_rng(5).random()
 
-    def test_split_rng_children_independent(self):
-        children = split_rng(make_rng(0), 3)
-        values = [child.random() for child in children]
-        assert len(set(values)) == 3
-
-    def test_split_rng_reproducible(self):
-        a = [g.random() for g in split_rng(make_rng(1), 2)]
-        b = [g.random() for g in split_rng(make_rng(1), 2)]
-        assert a == b
-
 
 class TestValidation:
     def test_check_probability_bounds(self):
@@ -113,11 +101,3 @@ class TestValidation:
             check_positive_int(2.5, "n")
         with pytest.raises(ValueError):
             check_positive_int(-1, "n")
-
-    def test_check_labels(self):
-        labels = check_labels(np.array([0, 1, 2]), 3)
-        assert labels.dtype == np.int64
-        with pytest.raises(ValueError):
-            check_labels(np.array([0, 1]), 3)
-        with pytest.raises(ValueError):
-            check_labels(np.array([0, -1, 2]), 3)
