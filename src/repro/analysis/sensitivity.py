@@ -8,7 +8,7 @@ ASCII heatmaps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -57,7 +57,7 @@ def sweep_lr_khop(
     accuracy = np.zeros((len(learning_rates), len(k_values)))
     for i, lr in enumerate(learning_rates):
         for j, k in enumerate(k_values):
-            config = base_config.with_overrides(learning_rate=lr, k_hops=k)
+            config = replace(base_config, learning_rate=lr, k_hops=k)
             accuracy[i, j] = _run_once(graph, config)
     return SweepResult("lr", "k", list(learning_rates), list(k_values), accuracy)
 
@@ -72,6 +72,6 @@ def sweep_alpha_beta(
     accuracy = np.zeros((len(alphas), len(betas)))
     for i, alpha in enumerate(alphas):
         for j, beta in enumerate(betas):
-            config = base_config.with_overrides(alpha=alpha, beta=beta)
+            config = replace(base_config, alpha=alpha, beta=beta)
             accuracy[i, j] = _run_once(graph, config)
     return SweepResult("alpha", "beta", list(alphas), list(betas), accuracy)

@@ -9,7 +9,7 @@ for the scaled-down surrogate datasets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from ..utils.validation import check_positive, check_positive_int, check_probability
 
@@ -43,52 +43,23 @@ class SESConfig:
     ``"mask"`` uses the scorer output M̂_s alone (the paper's letter);
     ``"sensitivity"`` uses the accumulated masked-loss edge sensitivity
     −dL_xent^m/dw_e collected during co-training (per-edge, immune to the
-    content-averaging that defeats a global scorer on isomorphic motifs);
-    ``"blend"`` averages the rank-normalised sensitivity with the mask.
+    content-averaging that defeats a global scorer on isomorphic motifs).
     Reproduction finding: the mask readout excels on homophilous graphs
     (it is a near-perfect same-class-edge predictor) but is content-blind
     to isomorphic structural motifs, where the sensitivity readout is the
     right signal — the synthetic-benchmark harnesses therefore select
     "sensitivity" while the default remains the paper's mask."""
-    structure_scorer_input: str = "representation"
-    """Which encoder activations feed the structure-mask scorer (Eq. 4).
-    The paper says the first convolution's output ``H``; on constant-feature
-    graphs a one-hop representation is a pure degree function and cannot
-    distinguish motif membership, so the default is the encoder's *output*
-    representation (2 hops + head input), which carries the positional
-    context the scorer needs.  Set to "hidden" for the literal Eq. 4."""
-    sub_loss_weight: float = 1.0
-    """Relative weight of L_sub inside the alpha term of Eq. 9.  1.0 is the
-    paper's equal weighting; structural-role explanation tasks use a smaller
-    value so the masked cross-entropy (the term that identifies
-    classification-critical edges) dominates the mask's shape."""
     mask_floor: float = 0.5
     """Soft application floor for the structure mask in the Eq. 10 forward:
     the applied edge weight is ``floor + (1 - floor) * M̂_s``.  0 applies the
     raw mask; higher values make masking a re-ranking rather than a hard
     deletion (ablated in benchmarks/bench_ablation_extra.py)."""
-    predictive_lr_scale: float = 0.3
-    """Phase-2 learning-rate multiplier: enhanced predictive learning
-    fine-tunes an already-trained encoder, so it runs at a fraction of the
-    phase-1 rate to avoid destroying the phase-1 solution."""
-    readout: str = "auto"
-    """Which forward pass produces the final predictions: ``"masked"`` (the
-    Eq. 10 forward), ``"plain"`` (Eq. 2), or ``"auto"`` — pick per run by
-    validation accuracy (both readouts share the refined encoder)."""
     keep_best: bool = True
     """Track the best validation-accuracy encoder state during phase 2 and
     restore it at the end (standard early-stopping-by-checkpoint)."""
     triplet_pooling: str = "mean"
     """How the stacked positive/negative embeddings of Eq. 11 are pooled to a
     fixed size per anchor ("mean" or "sum"); see DESIGN.md §5."""
-    resample_negatives: bool = False
-    """Resample P_n each epoch instead of once per run."""
-    max_khop_per_node: int = 0
-    """Memory-lean mode (the paper's future-work optimisation): keep at most
-    this many k-hop edges per destination node when building ``A^(k)``
-    (0 = keep all).  Dense graphs can have |A^(k)| ≈ N·K̄², which dominates
-    SES's memory footprint; subsampling bounds it at N·max_khop_per_node."""
-    max_negatives_per_node: int = 64
     seed: int = 0
 
     # Ablation switches (Table 10 / Table 5 variants).
@@ -109,33 +80,18 @@ class SESConfig:
         check_positive_int(self.k_hops, "k_hops")
         check_positive_int(self.explainable_epochs, "explainable_epochs")
         check_positive_int(self.predictive_epochs, "predictive_epochs")
-        check_positive_int(self.max_negatives_per_node, "max_negatives_per_node")
         check_positive_int(self.mask_mlp_hidden, "mask_mlp_hidden")
         check_positive_int(self.heads, "heads")
-        check_positive(self.predictive_lr_scale, "predictive_lr_scale")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.weight_decay < 0:
             raise ValueError(f"weight_decay must be non-negative, got {self.weight_decay}")
-        if int(self.max_khop_per_node) != self.max_khop_per_node or self.max_khop_per_node < 0:
-            raise ValueError(
-                "max_khop_per_node must be a non-negative integer (0 keeps all), "
-                f"got {self.max_khop_per_node}"
-            )
         if self.subgraph_target not in ("structure", "label"):
             raise ValueError("subgraph_target must be 'structure' or 'label'")
         if self.triplet_pooling not in ("mean", "sum"):
             raise ValueError("triplet_pooling must be 'mean' or 'sum'")
-        if self.readout not in ("auto", "masked", "plain"):
-            raise ValueError("readout must be 'auto', 'masked' or 'plain'")
-        if self.structure_scorer_input not in ("hidden", "representation"):
-            raise ValueError("structure_scorer_input must be 'hidden' or 'representation'")
-        if self.structure_explanation not in ("mask", "sensitivity", "blend"):
-            raise ValueError("structure_explanation must be 'mask', 'sensitivity' or 'blend'")
-
-    def with_overrides(self, **kwargs) -> "SESConfig":
-        """Return a copy with fields replaced (used by ablation harnesses)."""
-        return replace(self, **kwargs)
+        if self.structure_explanation not in ("mask", "sensitivity"):
+            raise ValueError("structure_explanation must be 'mask' or 'sensitivity'")
 
 
 def fast_config(backbone: str = "gcn", **overrides) -> SESConfig:

@@ -46,10 +46,6 @@ class Explanations:
             for u, v, w in zip(coo.row, coo.col, coo.data)
         }
 
-    def edge_importance(self, u: int, v: int) -> float:
-        """Importance of the directed edge (u, v); 0 if outside ``A^(k)``."""
-        return float(self.subgraph_explanation[u, v])
-
     def top_features(self, node: int, k: int = 5) -> np.ndarray:
         """Indices of the ``k`` most important features of ``node``."""
         return np.argsort(-self.feature_explanation[node])[:k]

@@ -71,15 +71,12 @@ def explainable_training_loss(
     masked_xent: Optional[Tensor],
     sub_loss: Tensor,
     alpha: float,
-    sub_loss_weight: float = 1.0,
 ) -> Tensor:
     """Phase-1 objective, Eq. 9: ``alpha (L_sub + L_xent^m) + (1-alpha) L_xent``.
 
-    ``masked_xent`` may be ``None`` for the −{L_xent^m} ablation (Table 5);
-    ``sub_loss_weight`` scales L_sub inside the alpha term (1.0 = paper).
+    ``masked_xent`` may be ``None`` for the −{L_xent^m} ablation (Table 5).
     """
-    weighted_sub = sub_loss * sub_loss_weight
-    mask_term = weighted_sub if masked_xent is None else weighted_sub + masked_xent
+    mask_term = sub_loss if masked_xent is None else sub_loss + masked_xent
     return mask_term * alpha + plain_xent * (1.0 - alpha)
 
 

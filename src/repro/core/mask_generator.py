@@ -7,7 +7,9 @@ Produces, from the graph encoder's first-layer hidden states ``H``:
 * the **structure mask** ``M_s`` (Eq. 4) — one weight per k-hop edge,
   scored by a *shared* scorer over the concatenated endpoint hidden states
   ``cat(h_i, h_k)`` followed by a sigmoid (evaluated by
-  :func:`repro.tensor.pair_mlp` without materialising the concatenation);
+  :func:`repro.tensor.pair_mlp` without materialising the concatenation).
+  The trainer scores the encoder's output representation here rather than
+  ``H`` (see :func:`repro.core.ses.phase1_batch_loss`);
 * the **negative structure mask** ``M_sneg`` — the same scorer applied to
   the sampled negative pairs ``P_n``, used only by the subgraph loss.
 
@@ -24,6 +26,12 @@ import numpy as np
 
 from ..tensor import MLP, Module, Tensor, functional as F, pair_mlp
 
+TEMPERATURE = 3.0
+"""Divisor of the scorer logits before the sigmoid.  Without it the subgraph
+loss saturates the scorer within a few epochs and the masked cross-entropy of
+Eq. 8 — the term that keeps classification-critical edges alive — is left
+with a dead gradient (sigma' ~ 0)."""
+
 
 class MaskGenerator(Module):
     """Jointly produces feature and structure masks from hidden states."""
@@ -33,14 +41,12 @@ class MaskGenerator(Module):
         hidden_features: int,
         num_features: int,
         mlp_hidden: int = 64,
-        temperature: float = 3.0,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         super().__init__()
         rng = rng or np.random.default_rng()
         self.hidden_features = hidden_features
         self.num_features = num_features
-        self.temperature = temperature
         self.feature_mlp = MLP(
             (hidden_features, mlp_hidden, num_features),
             final_activation=F.sigmoid,
@@ -66,11 +72,7 @@ class MaskGenerator(Module):
             return Tensor(np.zeros(0))
         # Eq. 4 in decomposed form: ``pair_mlp`` scores the pairs without
         # building their (M, 3d) concatenated input (DESIGN.md §5).
-        logits = pair_mlp(self.edge_scorer, hidden, pairs) * (1.0 / self.temperature)
-        # Tempered sigmoid: without it the subgraph loss saturates the
-        # scorer within a few epochs and the masked cross-entropy of Eq. 8 —
-        # the term that keeps classification-critical edges alive — is left
-        # with a dead gradient (sigma' ~ 0).
+        logits = pair_mlp(self.edge_scorer, hidden, pairs) * (1.0 / TEMPERATURE)
         return F.sigmoid(logits)
 
     def structure_mask(self, hidden: Tensor, khop_edges: np.ndarray) -> Tensor:

@@ -85,6 +85,14 @@ from .losses import explainable_training_loss, predictive_learning_loss, subgrap
 from .mask_generator import MaskGenerator
 from .pairs import PairSets, construct_pairs, pooled_pair_indices
 
+PREDICTIVE_LR_SCALE = 0.3
+"""Phase-2 learning-rate multiplier: enhanced predictive learning fine-tunes
+an already-trained encoder, so it runs at a fraction of the phase-1 rate to
+avoid destroying the phase-1 solution."""
+
+MAX_NEGATIVES_PER_NODE = 64
+"""Cap on the negative set ``P_n`` sampled per node at set-up."""
+
 
 class SESModel(Module):
     """Graph encoder + mask generator with shared parameters across phases."""
@@ -173,11 +181,6 @@ def eval_forward(
     return tuple(output.data for output in outputs)
 
 
-def select_readout(config: SESConfig, best_readout: str) -> str:
-    """Which forward pass produces final predictions (see config.readout)."""
-    return best_readout if config.readout == "auto" else config.readout
-
-
 def readout_logits(
     model: SESModel, config: SESConfig, readout: str, features: np.ndarray,
     edge_index: np.ndarray, feature_mask: Optional[np.ndarray],
@@ -200,10 +203,7 @@ def explanation_edge_values(
     if mode == "mask" or sensitivity.max() <= 0:
         return mask_values
     ranks = np.argsort(np.argsort(sensitivity)).astype(np.float64)
-    normalized = ranks / max(1, len(ranks) - 1)
-    if mode == "sensitivity":
-        return normalized
-    return 0.5 * (normalized + mask_values)
+    return ranks / max(1, len(ranks) - 1)
 
 
 def assemble_explanations(
@@ -249,12 +249,6 @@ class SESResult:
     logits: np.ndarray
     hidden: np.ndarray
     predictions: np.ndarray
-
-    @property
-    def inference_time(self) -> float:
-        """Time to produce explanations for all nodes (Table 6 convention:
-        for self-explainable GNNs this is the explainable-training time)."""
-        return self.timings.get("explainable", 0.0)
 
     @property
     def training_time(self) -> float:
@@ -307,17 +301,15 @@ def phase1_batch_loss(
     hidden, representation, logits = model.encoder.forward_full(
         sub_features, batch.edge_index, batch.num_local_nodes
     )
-    scorer_input = (
-        representation
-        if config.structure_scorer_input == "representation"
-        else hidden
-    )
+    # The structure scorer reads the encoder's output representation, not
+    # Eq. 4's first-layer H: on constant-feature graphs a one-hop state is a
+    # pure degree function and cannot tell motif membership apart.
     feature_mask = model.mask_generator.feature_mask(hidden)
     structure_mask = model.mask_generator.structure_mask(
-        scorer_input, batch.khop_edges
+        representation, batch.khop_edges
     )
     negative_mask = model.mask_generator.negative_mask(
-        scorer_input, batch.negative_pairs
+        representation, batch.negative_pairs
     )
     plain_xent = (
         F.cross_entropy(logits, labels_local, mask=batch_train)
@@ -363,10 +355,7 @@ def phase1_batch_loss(
         masked_xent = F.cross_entropy(
             masked_logits, labels_local, mask=batch_train
         )
-    loss = explainable_training_loss(
-        plain_xent, masked_xent, sub_loss, config.alpha,
-        sub_loss_weight=config.sub_loss_weight,
-    )
+    loss = explainable_training_loss(plain_xent, masked_xent, sub_loss, config.alpha)
     return Phase1BatchResult(
         loss=loss,
         probe=probe,
@@ -531,7 +520,6 @@ class SESTrainer:
         self,
         graph: Graph,
         config: Optional[SESConfig] = None,
-        rng: Optional[np.random.Generator] = None,
         recorder: Optional[NullRecorder] = None,
         recovery: Optional[RecoveryPolicy] = None,
         faults: Optional[FaultPlan] = None,
@@ -540,7 +528,7 @@ class SESTrainer:
             raise ValueError("SES requires labels and split masks on the graph")
         self.graph = graph
         self.config = config or SESConfig()
-        self.rng = rng or make_rng(self.config.seed)
+        self.rng = make_rng(self.config.seed)
         if recorder is not None:
             self.recorder = recorder
             self._owns_recorder = False
@@ -567,12 +555,9 @@ class SESTrainer:
         self.edge_index = graph.edge_index()
         self.num_nodes = graph.num_nodes
         with self.recorder.phase("setup"):
-            self.khop_edges = self._build_khop_edges()
+            self.khop_edges = khop_edge_index(graph, self.config.k_hops)
             self._negative_sets = sample_negative_sets(
-                graph,
-                self.config.k_hops,
-                self.rng,
-                max_per_node=self.config.max_negatives_per_node,
+                graph, self.config.k_hops, self.rng, max_per_node=MAX_NEGATIVES_PER_NODE
             )
             self.negative_pairs = negative_edge_index(self._negative_sets)
             self._base_edge_positions = align_base_edges(
@@ -615,51 +600,6 @@ class SESTrainer:
         self.recovery = (
             RecoveryManager(policy, self.recorder) if policy is not None else None
         )
-
-    # ------------------------------------------------------------------
-    # Setup helpers
-    # ------------------------------------------------------------------
-    def _build_khop_edges(self) -> np.ndarray:
-        """``A^(k)`` edge list, optionally subsampled per destination node.
-
-        Edges of the base adjacency ``A`` are always kept (phase 2 needs
-        their mask values); only the strictly-longer-range k-hop pairs are
-        subject to the ``max_khop_per_node`` cap.
-        """
-        khop = khop_edge_index(self.graph, self.config.k_hops)
-        cap = self.config.max_khop_per_node
-        if cap <= 0:
-            return khop
-        base_keys = self.edge_index[0] * self.num_nodes + self.edge_index[1]
-        is_base = np.isin(khop[0] * self.num_nodes + khop[1], base_keys)
-        order = self.rng.permutation(khop.shape[1])
-        # Each destination keeps, in permutation order, the first
-        # ``cap - base_count`` of its non-base edges: rank them within their
-        # destination with a stable sort.
-        candidates = order[~is_base[order]]
-        destinations = khop[1][candidates]
-        by_destination = np.argsort(destinations, kind="stable")
-        grouped = destinations[by_destination]
-        group_start = np.searchsorted(grouped, grouped, "left")
-        rank = np.arange(len(grouped)) - group_start
-        base_count = np.bincount(khop[1][is_base], minlength=self.num_nodes)
-        admitted = rank < cap - base_count[grouped]
-        keep = is_base.copy()
-        keep[candidates[by_destination[admitted]]] = True
-        kept = khop[:, keep]
-        # Keep the column ordering sorted so align_base_edges can bisect.
-        sort = np.argsort(kept[0] * self.num_nodes + kept[1], kind="mergesort")
-        return kept[:, sort]
-
-    def _resample_negatives(self) -> None:
-        self._negative_sets = sample_negative_sets(
-            self.graph,
-            self.config.k_hops,
-            self.rng,
-            max_per_node=self.config.max_negatives_per_node,
-        )
-        self.negative_pairs = negative_edge_index(self._negative_sets)
-        self._invalidate_batches()
 
     def _invalidate_batches(self) -> None:
         """Drop what embeds the negative pairs or pair sets: the cached
@@ -814,7 +754,7 @@ class SESTrainer:
         if phase == "explainable":
             lr = cfg.learning_rate
         else:
-            lr = cfg.learning_rate * cfg.predictive_lr_scale
+            lr = cfg.learning_rate * PREDICTIVE_LR_SCALE
         optimizer = Adam(params, lr=lr, weight_decay=cfg.weight_decay)
         self._optimizers[phase] = optimizer
         return optimizer
@@ -856,14 +796,9 @@ class SESTrainer:
             hidden, representation, _ = model.encoder.forward_full(
                 Tensor(self.graph.features), self.edge_index, self.num_nodes
             )
-            scorer_input = (
-                representation
-                if self.config.structure_scorer_input == "representation"
-                else hidden
-            )
             feature_mask = model.mask_generator.feature_mask(hidden)
             structure_mask = model.mask_generator.structure_mask(
-                scorer_input, self.khop_edges
+                representation, self.khop_edges
             )
         return feature_mask.data.copy(), structure_mask.data.copy()
 
@@ -990,8 +925,6 @@ class SESTrainer:
         supervisor reduces in fixed order (data-parallel).  The batches
         come from the one anchor sampler in every mode.
         """
-        if phase == "explainable" and self.config.resample_negatives and epoch > 0:
-            self._resample_negatives()
         self.model.train()
         self.watchdog.context["epoch"] = epoch
         batches = self._sampler.epoch_batches()
@@ -1338,8 +1271,10 @@ class SESTrainer:
         return accuracy(logits_to_predictions(logits), self.graph.labels, mask=mask)
 
     def active_readout(self) -> str:
-        """Which forward pass produces final predictions (see config.readout)."""
-        return select_readout(self.config, self._best_readout)
+        """Which forward pass produces final predictions: the masked forward
+        of Eq. 10 or the plain encoder, whichever phase 2 validated best
+        (both readouts share the refined encoder)."""
+        return self._best_readout
 
     def final_logits(self, features: Optional[np.ndarray] = None) -> np.ndarray:
         """Logits of the selected readout, optionally from perturbed features."""

@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..graph import Graph
 

@@ -22,7 +22,7 @@ import numpy as np
 from ..core import SESConfig, SESResult, SESTrainer
 from ..datasets import load_dataset
 from ..graph import Graph, classification_split, explanation_split
-from ..obs import NullRecorder, default_recorder, telemetry_enabled
+from ..obs import NullRecorder, default_recorder
 from ..utils import format_table
 
 
@@ -120,17 +120,6 @@ class TableResult:
             text += "\n" + "\n".join(f"note: {note}" for note in self.notes)
         return text
 
-    def to_markdown(self) -> str:
-        def fmt(cell) -> str:
-            return f"{cell:.2f}" if isinstance(cell, float) else str(cell)
-
-        lines = [
-            "| " + " | ".join(self.headers) + " |",
-            "|" + "|".join("---" for _ in self.headers) + "|",
-        ]
-        lines.extend("| " + " | ".join(fmt(c) for c in row) + " |" for row in self.rows)
-        return "\n".join(lines)
-
 
 def prepare_real_world(name: str, profile: Profile, seed: int = 0) -> Graph:
     """Load a real-world surrogate with the paper's 60/20/20 split."""
@@ -218,7 +207,3 @@ def mean_std(values: Sequence[float]) -> str:
     if len(array) == 1:
         return f"{array[0]:.2f}"
     return f"{array.mean():.2f}±{array.std():.2f}"
-
-
-def mean_of(values: Sequence[float]) -> float:
-    return float(np.mean(np.asarray(list(values), dtype=np.float64)))

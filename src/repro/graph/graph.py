@@ -126,35 +126,10 @@ class Graph:
             self._cache["edge_weights"] = coo.data.astype(np.float64)
         return self._cache["edge_weights"]
 
-    def segment_layout(self, k: Optional[int] = None):
-        """Destination-sorted CSR layout of the (k-hop) edge index.
-
-        ``k=None`` covers :meth:`edge_index`; an integer ``k`` covers the
-        cached k-hop expansion from :func:`repro.graph.khop.khop_edge_index`.
-        Memoised alongside the edge caches so trainers and explainers share
-        one layout per topology (see docs/PERF.md).
-        """
-        cache_key = ("segment_layout", k)
-        if cache_key not in self._cache:
-            from ..tensor import CSRSegmentLayout
-
-            if k is None:
-                edge_index = self.edge_index()
-            else:
-                from .khop import khop_edge_index
-
-                edge_index = khop_edge_index(self, k)
-            self._cache[cache_key] = CSRSegmentLayout(edge_index[1], self.num_nodes)
-        return self._cache[cache_key]
-
     def neighbors(self, node: int) -> np.ndarray:
         """Neighbour ids of ``node``."""
         start, stop = self.adjacency.indptr[node], self.adjacency.indptr[node + 1]
         return self.adjacency.indices[start:stop]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        """Whether the undirected edge (u, v) exists."""
-        return bool(self.adjacency[u, v] != 0)
 
     def subgraph_nodes(self, center: int, hops: int) -> np.ndarray:
         """Node ids within ``hops`` of ``center`` (excluding the center)."""
@@ -196,23 +171,6 @@ class Graph:
         if features is None:
             features = np.ones((num_nodes, 1))
         return cls(adjacency=adj, features=features, **kwargs)
-
-    @classmethod
-    def from_networkx(cls, nx_graph, features: Optional[np.ndarray] = None, **kwargs) -> "Graph":
-        """Build from a networkx graph with contiguous integer node ids."""
-        import networkx as nx
-
-        n = nx_graph.number_of_nodes()
-        adj = nx.to_scipy_sparse_array(nx_graph, nodelist=range(n), format="csr")
-        if features is None:
-            features = np.ones((n, 1))
-        return cls(adjacency=sp.csr_matrix(adj), features=features, **kwargs)
-
-    def labelled_nodes(self) -> np.ndarray:
-        """Indices in the training mask (the ``V_L`` of the paper)."""
-        if self.train_mask is None:
-            raise ValueError("graph has no train mask")
-        return np.flatnonzero(self.train_mask)
 
     def summary(self) -> str:
         """One-line description used by example scripts."""

@@ -163,10 +163,6 @@ class SubgraphBatch:
     def num_local_nodes(self) -> int:
         return int(self.nodes.shape[0])
 
-    def local_mask(self, global_mask: np.ndarray) -> np.ndarray:
-        """Restrict a per-node array/mask to the subgraph's nodes."""
-        return global_mask[self.nodes]
-
     def anchor_mask(self) -> np.ndarray:
         """Local boolean mask selecting the batch anchors."""
         mask = np.zeros(self.num_local_nodes, dtype=bool)

@@ -9,14 +9,12 @@ the scheme described in DESIGN.md §5.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 
-def gcn_edge_norm(
-    edge_index: np.ndarray, num_nodes: int, edge_base_weight: Optional[np.ndarray] = None
-) -> Tuple[np.ndarray, np.ndarray]:
+def gcn_edge_norm(edge_index: np.ndarray, num_nodes: int) -> Tuple[np.ndarray, np.ndarray]:
     """Edge-list form of the GCN normalisation, with self-loops appended.
 
     Returns
@@ -29,13 +27,9 @@ def gcn_edge_norm(
     loops = np.arange(num_nodes, dtype=np.int64)
     full_src = np.concatenate([src, loops])
     full_dst = np.concatenate([dst, loops])
-    if edge_base_weight is None:
-        weights = np.ones(full_src.shape[0])
-    else:
-        weights = np.concatenate([np.asarray(edge_base_weight, dtype=np.float64), np.ones(num_nodes)])
-    degrees = np.bincount(full_dst, weights=weights, minlength=num_nodes).astype(np.float64)
+    degrees = np.bincount(full_dst, minlength=num_nodes).astype(np.float64)
     inv_sqrt = np.zeros_like(degrees)
     nonzero = degrees > 0
     inv_sqrt[nonzero] = degrees[nonzero] ** -0.5
-    coefficients = weights * inv_sqrt[full_src] * inv_sqrt[full_dst]
+    coefficients = inv_sqrt[full_src] * inv_sqrt[full_dst]
     return np.vstack([full_src, full_dst]), coefficients

@@ -1,12 +1,11 @@
 """Evaluation metrics: classification, explanation quality, clustering."""
 
-from .classification import accuracy, confusion_matrix, logits_to_predictions
+from .classification import accuracy, logits_to_predictions
 from .clustering import calinski_harabasz_score, silhouette_score
 from .explanation import fidelity_plus, roc_auc_score, sparsity
 
 __all__ = [
     "accuracy",
-    "confusion_matrix",
     "logits_to_predictions",
     "roc_auc_score",
     "fidelity_plus",

@@ -21,13 +21,6 @@ def accuracy(predictions: np.ndarray, labels: np.ndarray, mask: Optional[np.ndar
     return float((predictions == labels).mean())
 
 
-def confusion_matrix(predictions: np.ndarray, labels: np.ndarray, num_classes: int) -> np.ndarray:
-    """``(C, C)`` matrix with true classes on rows."""
-    matrix = np.zeros((num_classes, num_classes), dtype=np.int64)
-    np.add.at(matrix, (labels, predictions), 1)
-    return matrix
-
-
 def logits_to_predictions(logits: np.ndarray) -> np.ndarray:
     """Argmax over the class axis."""
     return np.asarray(logits).argmax(axis=-1)

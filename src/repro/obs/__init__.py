@@ -43,7 +43,6 @@ from .metrics import (
     TrainingFamily,
     default_registry,
     exponential_buckets,
-    metrics_enabled,
     observe_event,
     parse_exposition,
 )
@@ -110,7 +109,6 @@ __all__ = [
     "TrainingFamily",
     "default_registry",
     "exponential_buckets",
-    "metrics_enabled",
     "observe_event",
     "parse_exposition",
     "chrome_trace",

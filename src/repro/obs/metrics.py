@@ -14,7 +14,7 @@ Design choices, in decreasing order of importance:
 
 * **Cheap when nobody is looking.**  ``Counter.inc`` on the no-label fast
   path is a dict lookup and a float add; a disabled registry
-  (``REPRO_METRICS=0``) short-circuits to a single attribute check.  The
+  (``set_enabled(False)``) short-circuits to a single attribute check.  The
   always-on overhead is gated below 5% of epoch time by
   ``benchmarks/bench_obs_metrics.py`` → ``results/BENCH_obs_metrics.json``.
 * **Prometheus-compatible exposition.**  :meth:`MetricsRegistry.expose_text`
@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import re
 import threading
 import time
@@ -54,7 +53,6 @@ __all__ = [
     "TrainingFamily",
     "default_registry",
     "exponential_buckets",
-    "metrics_enabled",
     "observe_event",
     "parse_exposition",
 ]
@@ -63,17 +61,6 @@ _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 
 LabelKey = Tuple[Tuple[str, str], ...]
-
-
-def metrics_enabled(env: Optional[dict] = None) -> bool:
-    """Whether the default registry starts enabled (``REPRO_METRICS`` env).
-
-    Metrics are **on by default** — they are the always-on observability
-    surface.  ``REPRO_METRICS=0`` turns every update into a no-op (used by
-    the overhead benchmark to measure its own cost).
-    """
-    value = (env if env is not None else os.environ).get("REPRO_METRICS", "")
-    return value.strip().lower() not in ("0", "false", "no")
 
 
 def exponential_buckets(start: float, factor: float, count: int) -> Tuple[float, ...]:
@@ -140,9 +127,6 @@ class _Metric:
 
     # Subclasses store children in ``self._children: Dict[LabelKey, ...]``.
 
-    def labels_seen(self) -> List[LabelKey]:
-        return sorted(self._children)  # type: ignore[attr-defined]
-
 
 class Counter(_Metric):
     """Monotonically increasing count (events, bytes, cache hits)."""
@@ -188,9 +172,6 @@ class Gauge(_Metric):
             return
         key = _label_key(labels)
         self._children[key] = self._children.get(key, 0.0) + amount
-
-    def dec(self, amount: float = 1.0, **labels: str) -> None:
-        self.inc(-amount, **labels)
 
     def value(self, **labels: str) -> float:
         return self._children.get(_label_key(labels), 0.0)
@@ -277,11 +258,6 @@ class Histogram(_Metric):
         child = self._children.get(_label_key(labels))
         return 0.0 if child is None else child.total
 
-    def bucket_counts(self, **labels: str) -> List[int]:
-        """Per-bucket (non-cumulative) counts, overflow bucket last."""
-        child = self._children.get(_label_key(labels))
-        return [0] * (len(self.buckets) + 1) if child is None else list(child.counts)
-
     def quantile(self, q: float, **labels: str) -> float:
         """Estimate the ``q``-quantile from the bucket counts.
 
@@ -344,10 +320,10 @@ class MetricsRegistry:
     module-level call sites stay idempotent across reloads and tests.
     """
 
-    def __init__(self, enabled: Optional[bool] = None) -> None:
+    def __init__(self, enabled: bool = True) -> None:
         self._metrics: Dict[str, _Metric] = {}
         self._lock = threading.Lock()
-        self.enabled = metrics_enabled() if enabled is None else bool(enabled)
+        self.enabled = bool(enabled)
 
     # ------------------------------------------------------------------
     # Family factories

@@ -489,8 +489,13 @@ class WorkerSupervisor:
         constants,
     ) -> None:
         handle = self._handles.pop(rank)
-        exitcode = handle.process.exitcode
+        if kind == "died":
+            # The event pipe closes before the process is reaped: join it
+            # first, so the error below names its real exit code, not None.
+            handle.process.join(timeout=1.0)
         self._terminate(handle)
+        exitcode = handle.process.exitcode
+        greeted = "after" if handle.last_seen is not None else "before"
         _FAILURES_TOTAL.inc(kind=kind)
         _WORKERS_ALIVE.set(len(self._handles))
         self.total_failures += 1
@@ -519,7 +524,7 @@ class WorkerSupervisor:
         survivors = sorted(self._handles)
         if not survivors:
             raise ParallelTrainingError(
-                f"worker {rank} {kind} (exitcode={exitcode}) with restart "
+                f"worker {rank} {kind} (exitcode={exitcode}, {greeted} its hello) with restart "
                 f"budget exhausted and no surviving workers — cannot finish "
                 f"{phase} epoch {epoch}"
             )

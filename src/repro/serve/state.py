@@ -36,7 +36,6 @@ from ..core.ses import (
     align_base_edges,
     assemble_explanations,
     readout_logits,
-    select_readout,
 )
 from ..graph import Graph, unpack_graph
 from ..metrics import logits_to_predictions
@@ -182,7 +181,7 @@ def load_serving_state(
     use_best = config.keep_best and manifest.get("has_best")
     model.load_state_dict(snapshot.section("best" if use_best else "model"))
 
-    readout = select_readout(config, manifest["best_readout"])
+    readout = manifest["best_readout"]
     edge_index = graph.edge_index()
     logits = readout_logits(
         model, config, readout, graph.features, edge_index, feature_mask,

@@ -71,10 +71,6 @@ class Module:
     def eval(self) -> "Module":
         return self.train(False)
 
-    def num_parameters(self) -> int:
-        """Total number of scalar parameters."""
-        return sum(p.size for p in self.parameters())
-
     def state_dict(self) -> dict:
         """Copy of all parameter arrays keyed by dotted name."""
         return {name: param.data.copy() for name, param in self.named_parameters()}

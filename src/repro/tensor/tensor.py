@@ -372,9 +372,6 @@ class Tensor:
 
         return Tensor._make(out_data, (self,), backward)
 
-    def flatten(self) -> "Tensor":
-        return self.reshape(-1)
-
     def __getitem__(self, key) -> "Tensor":
         out_data = self.data[key]
         shape = self.shape

@@ -28,10 +28,10 @@ class TestExplanations:
         assert scores == {(0, 1): 0.7, (1, 0): 0.4}
 
     def test_edge_importance_known_edge(self, explanations):
-        assert explanations.edge_importance(0, 1) == pytest.approx(0.7)
+        assert explanations.subgraph_explanation[0, 1] == pytest.approx(0.7)
 
     def test_edge_importance_missing_edge_is_zero(self, explanations):
-        assert explanations.edge_importance(0, 0) == 0.0
+        assert explanations.subgraph_explanation[0, 0] == 0.0
 
     def test_top_features_respects_explanation_values(self, explanations):
         # Node 0: E_feat = [0.9, 0.0, 1.0] → feature 2 first, then 0.

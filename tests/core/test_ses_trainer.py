@@ -55,8 +55,8 @@ class TestTraining:
     def test_timings_recorded(self, trained):
         _, result = trained
         assert set(result.timings) == {"explainable", "pairs", "predictive"}
-        assert result.inference_time > 0
-        assert result.training_time >= result.inference_time
+        assert result.timings["explainable"] > 0
+        assert result.training_time >= result.timings["explainable"]
 
 
 class TestExplanations:
@@ -126,13 +126,6 @@ class TestPredictionPaths:
         trainer, _ = trained
         assert trainer.active_readout() in ("masked", "plain")
 
-    def test_forced_readout(self, small_cora):
-        config = fast_config("gcn", explainable_epochs=5, predictive_epochs=2,
-                             readout="plain", seed=0)
-        trainer = SESTrainer(small_cora, config)
-        trainer.fit()
-        assert trainer.active_readout() == "plain"
-
 
 class TestAblationsAndVariants:
     @pytest.mark.parametrize(
@@ -145,7 +138,6 @@ class TestAblationsAndVariants:
             {"use_xent_in_phase2": False},
             {"triplet_pooling": "sum"},
             {"subgraph_target": "structure"},
-            {"resample_negatives": True},
         ],
     )
     def test_variants_train(self, small_cora, overrides):

@@ -170,14 +170,11 @@ class TestPhase1Extraction:
         np.testing.assert_array_equal(batch.negative_positions, [0])
         np.testing.assert_array_equal(batch.nodes[batch.negative_pairs[1]], [5])
 
-    def test_anchor_mask_and_local_mask(self):
+    def test_anchor_mask(self):
         graph, khop, negatives = self._inputs()
         anchors = np.array([1, 3])
         batch = extract_phase1_batch(graph, anchors, khop, negatives, hops=1)
         np.testing.assert_array_equal(batch.nodes[batch.anchor_mask()], anchors)
-        np.testing.assert_array_equal(
-            batch.local_mask(graph.labels), graph.labels[batch.nodes]
-        )
 
 
 class TestPhase2Extraction:

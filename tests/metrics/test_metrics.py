@@ -6,7 +6,6 @@ import pytest
 from repro.metrics import (
     accuracy,
     calinski_harabasz_score,
-    confusion_matrix,
     fidelity_plus,
     logits_to_predictions,
     roc_auc_score,
@@ -31,10 +30,6 @@ class TestClassification:
     def test_accuracy_empty_mask(self):
         with pytest.raises(ValueError):
             accuracy(np.array([1]), np.array([1]), mask=np.array([False]))
-
-    def test_confusion_matrix(self):
-        matrix = confusion_matrix(np.array([0, 1, 1]), np.array([0, 0, 1]), 2)
-        np.testing.assert_array_equal(matrix, [[1, 1], [0, 1]])
 
     def test_logits_to_predictions(self):
         logits = np.array([[0.1, 0.9], [0.8, 0.2]])

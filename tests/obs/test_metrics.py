@@ -16,7 +16,6 @@ from repro.obs.metrics import (
     TRAINING_FAMILIES,
     default_registry,
     exponential_buckets,
-    metrics_enabled,
     observe_event,
     parse_exposition,
 )
@@ -31,6 +30,13 @@ finite_seconds = st.floats(
 
 def fresh_registry() -> MetricsRegistry:
     return MetricsRegistry(enabled=True)
+
+
+def bucket_counts(histogram) -> list:
+    """Per-bucket (non-cumulative) counts of an unlabelled histogram,
+    overflow bucket last, read back from its exposition samples."""
+    cumulative = [value for name, _, value in histogram.samples() if name.endswith("_bucket")]
+    return [int(high - low) for low, high in zip([0.0] + cumulative, cumulative)]
 
 
 class TestCounterAndGauge:
@@ -53,7 +59,7 @@ class TestCounterAndGauge:
         gauge = fresh_registry().gauge("g")
         gauge.set(5.0, phase="a")
         gauge.inc(phase="a")
-        gauge.dec(2.0, phase="a")
+        gauge.inc(-2.0, phase="a")  # a gauge goes down by a negative inc
         assert gauge.value(phase="a") == 4.0
 
     def test_disabled_registry_is_a_noop(self):
@@ -112,7 +118,7 @@ class TestHistogram:
         for value in (0.5, 1.0, 5.0, 100.0):
             histogram.observe(value)
         # le=1 gets 0.5 and exactly 1.0; le=10 gets 5.0; +Inf gets 100.0
-        assert histogram.bucket_counts() == [2, 1, 1]
+        assert bucket_counts(histogram) == [2, 1, 1]
         assert histogram.count() == 4
         assert histogram.sum() == pytest.approx(106.5)
 
@@ -134,7 +140,7 @@ class TestHistogram:
         histogram = fresh_registry().histogram("h")
         for value in values:
             histogram.observe(value)
-        counts = histogram.bucket_counts()
+        counts = bucket_counts(histogram)
         assert sum(counts) == histogram.count() == len(values)
         assert histogram.sum() == pytest.approx(sum(values))
         assert len(counts) == len(DEFAULT_BUCKETS) + 1
@@ -261,12 +267,6 @@ class TestRegistry:
 
     def test_default_registry_is_a_singleton(self):
         assert default_registry() is default_registry()
-
-    def test_metrics_enabled_env_parsing(self):
-        assert metrics_enabled({}) is True
-        assert metrics_enabled({"REPRO_METRICS": "1"}) is True
-        assert metrics_enabled({"REPRO_METRICS": "0"}) is False
-        assert metrics_enabled({"REPRO_METRICS": "no"}) is False
 
 
 class TestTrainingIntegration:

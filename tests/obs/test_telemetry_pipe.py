@@ -27,7 +27,7 @@ MODES = {
 
 @pytest.fixture(autouse=True)
 def _clean_env(monkeypatch):
-    for name in ("REPRO_TELEMETRY", "REPRO_RECOVERY", "REPRO_FAULTS", "REPRO_METRICS"):
+    for name in ("REPRO_TELEMETRY", "REPRO_RECOVERY", "REPRO_FAULTS"):
         monkeypatch.delenv(name, raising=False)
 
 
@@ -90,7 +90,7 @@ def test_families_match_history(small_cora, tmp_path, mode, telemetry):
             _family(registry, "repro_snapshot_write_seconds").count(phase=phase) == epochs
         )
     recoveries = registry.get("repro_recovery_events_total")
-    assert recoveries is None or recoveries.labels_seen() == []
+    assert recoveries is None or list(recoveries.samples()) == []
 
 
 @pytest.mark.parametrize("mode", sorted(MODES))

@@ -369,6 +369,21 @@ class TestDegradation:
         with pytest.raises(ParallelTrainingError):
             trainer.fit()
 
+    def test_dead_worker_error_names_its_exit_code(self):
+        # The event pipe of a killed worker closes before the process is
+        # reaped; the error must still carry the code it exited with.
+        for _ in range(5):
+            trainer = SESTrainer(
+                _graph(),
+                _config(),
+                faults=FaultPlan.parse("kill_worker@explainable:0:0"),
+            )
+            trainer.configure_parallel(1, max_restarts=0)
+            with pytest.raises(
+                ParallelTrainingError, match=r"exitcode=17, after its hello"
+            ):
+                trainer.fit()
+
 
 class TestWorkerErrors:
     def test_worker_exception_surfaces_with_traceback(self):

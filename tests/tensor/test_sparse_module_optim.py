@@ -69,7 +69,7 @@ class TestModule:
 
         net = Net()
         assert len(net.parameters()) == 4
-        assert net.num_parameters() == 3 * 4 + 4 + 4 * 2 + 2
+        assert sum(param.size for param in net.parameters()) == 3 * 4 + 4 + 4 * 2 + 2
 
     def test_train_eval_propagates(self, rng):
         net = MLP((2, 4, 2), dropout=0.5, rng=rng)

@@ -166,9 +166,6 @@ class TestShapeOps:
         a[np.array([0, 2, 2])].sum().backward()
         np.testing.assert_allclose(a.grad[:, 0], [1.0, 0.0, 2.0, 0.0])
 
-    def test_flatten(self):
-        assert Tensor(np.zeros((2, 3))).flatten().shape == (6,)
-
 
 class TestReductions:
     def test_sum_axis_keepdims(self):
