@@ -1,9 +1,10 @@
-"""Persistence workflow: train once, ship the model + explanations.
+"""Persistence workflow: train once, ship the model and its explanations.
 
-A practitioner trains SES on their graph, saves everything to ``.npz``
-archives (no pickle — safe to share), and a second process reloads both
-the model (for fresh predictions) and the explanations (for auditing)
-without retraining.
+A practitioner trains SES on their graph and writes one serving snapshot
+(an ``.npz`` archive, no pickle — safe to share).  The snapshot carries the
+graph, the trained parameters and the frozen masks, so a second process
+reloads predictions (for fresh inference) and explanations (for auditing)
+without retraining and without the dataset generator.
 
 Usage: python examples/save_and_reload.py
 """
@@ -13,13 +14,10 @@ from __future__ import annotations
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
-from repro import io
 from repro.core import SESConfig, SESTrainer
 from repro.datasets import load_dataset
 from repro.graph import classification_split
-from repro.nn import GraphEncoder
+from repro.serve import load_serving_state
 
 
 def main() -> None:
@@ -36,31 +34,19 @@ def main() -> None:
     print(f"trained: test accuracy {result.test_accuracy:.3f}")
 
     with tempfile.TemporaryDirectory() as tmp:
-        base = Path(tmp)
-        io.save_graph(graph, base / "graph.npz")
-        io.save_checkpoint(trainer.model, base / "ses_model.npz")
-        io.save_explanations(result.explanations, base / "explanations.npz")
-        sizes = {p.name: p.stat().st_size // 1024 for p in base.iterdir()}
-        print(f"saved artifacts (KiB): {sizes}")
+        path = trainer.save_snapshot_to(tmp)
+        print(f"saved snapshot: {Path(path).name} ({path.stat().st_size // 1024} KiB)")
 
         # ---- a fresh process reloads everything -----------------------
-        reloaded_graph = io.load_graph(base / "graph.npz")
-        fresh = SESTrainer(reloaded_graph, config)  # same architecture
-        io.load_checkpoint(fresh.model, base / "ses_model.npz")
-        reloaded_explanations = io.load_explanations(base / "explanations.npz")
+        state = load_serving_state(tmp)
 
-    # Same parameters → same predictions, no retraining.
-    original = result.predictions
-    fresh._frozen_feature_mask = result.explanations.feature_mask
-    fresh._frozen_structure_values = trainer._frozen_structure_values
-    fresh._best_readout = trainer._best_readout
-    restored = fresh.predict()
-    agreement = float((original == restored).mean())
+    # Same parameters and frozen masks → same predictions, no retraining.
+    agreement = float((result.predictions == state.predictions).mean())
     print(f"prediction agreement after reload: {agreement * 100:.1f}%")
 
-    probe = int(reloaded_graph.degrees().argmax())
+    probe = int(state.graph.degrees().argmax())
     print(f"reloaded explanation for node {probe}:",
-          reloaded_explanations.ranked_neighbors(probe)[:3])
+          state.explanations.ranked_neighbors(probe)[:3])
 
 
 if __name__ == "__main__":

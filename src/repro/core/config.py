@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..nn.encoder import BACKBONES
 from ..utils.validation import check_positive, check_positive_int, check_probability
 
 
@@ -18,7 +19,7 @@ from ..utils.validation import check_positive, check_positive_int, check_probabi
 class SESConfig:
     """Hyper-parameters of SES (paper Table 2 symbols in brackets)."""
 
-    backbone: str = "gcn"
+    backbone: str = "gcn"  # one of repro.nn.encoder.BACKBONES
     hidden_features: int = 128  # F_hid
     k_hops: int = 2  # k of A^(k)
     alpha: float = 0.5  # balance of mask losses vs plain cross-entropy (Eq. 9)
@@ -70,6 +71,8 @@ class SESConfig:
     use_xent_in_phase2: bool = True  # -{L_xent} when False
 
     def __post_init__(self) -> None:
+        if self.backbone not in BACKBONES:
+            raise ValueError(f"backbone must be one of {BACKBONES}, got {self.backbone!r}")
         check_probability(self.alpha, "alpha")
         check_probability(self.beta, "beta")
         check_probability(self.sample_ratio, "sample_ratio")

@@ -57,7 +57,6 @@ from ..tensor import (
 from ..obs import (
     NaNWatchdog,
     NullRecorder,
-    NumericalAnomalyError,
     activation_stats,
     default_recorder,
     grad_stats,
@@ -1149,13 +1148,8 @@ class SESTrainer:
         """
         watchdog_before = self._watchdog_events()
         start = time.perf_counter()
-        try:
-            with self.faults.nan_injection(phase, epoch):
-                record = body()
-        except NumericalAnomalyError as error:
-            if self.recovery is None:
-                raise
-            return self.recovery.on_anomaly(self, phase, epoch, f"watchdog raised: {error}"), None
+        with self.faults.nan_injection(phase, epoch):
+            record = body()
         loss_value = float(record["loss"])
         anomaly = None
         if not np.isfinite(loss_value):

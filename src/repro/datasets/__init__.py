@@ -2,7 +2,7 @@
 
 from .base import attach_ground_truth, directed_pairs
 from .realworld import citeseer_like, cora_like, cs_like, polblogs_like
-from .registry import dataset_names, load_dataset
+from .registry import dataset_key, dataset_names, load_dataset
 from .synthetic import ba_community, ba_shapes, tree_cycle, tree_grid
 
 __all__ = [
@@ -16,6 +16,7 @@ __all__ = [
     "cs_like",
     "load_dataset",
     "dataset_names",
+    "dataset_key",
     "directed_pairs",
     "attach_ground_truth",
 ]

@@ -32,6 +32,11 @@ def dataset_names() -> List[str]:
     return sorted(_REAL) + sorted(_SYNTHETIC)
 
 
+def dataset_key(name: str) -> str:
+    """The registry name ``name`` selects: case-insensitive, ``-`` as ``_``."""
+    return name.lower().replace("-", "_")
+
+
 def load_dataset(name: str, seed: int = 0, scale: float = 1.0, **overrides) -> Graph:
     """Instantiate a dataset by name.
 
@@ -48,7 +53,7 @@ def load_dataset(name: str, seed: int = 0, scale: float = 1.0, **overrides) -> G
     overrides:
         Passed straight to the generator.
     """
-    key = name.lower().replace("-", "_")
+    key = dataset_key(name)
     if key in _REAL:
         kwargs = dict(overrides)
         if scale != 1.0 and "num_nodes" not in kwargs:

@@ -22,7 +22,6 @@ import numpy as np
 from ..core import SESConfig, SESResult, SESTrainer
 from ..datasets import load_dataset
 from ..graph import Graph, classification_split, explanation_split
-from ..obs import NullRecorder, default_recorder
 from ..utils import format_table
 
 
@@ -167,38 +166,22 @@ def ses_synthetic_config(profile: Profile, backbone: str = "gcn", seed: int = 0,
     return ses_config(profile, backbone=backbone, seed=seed, **defaults)
 
 
-# Aliases kept at the harness level for discoverability; the recorder
-# factory itself lives in repro.obs so SESTrainer-direct call sites (most
-# table/figure harnesses) honour --telemetry too.
-maybe_recorder = default_recorder
-
-
 def run_ses(
     graph: Graph,
     profile: Profile,
     backbone: str = "gcn",
     seed: int = 0,
-    recorder: Optional[NullRecorder] = None,
     **overrides,
 ) -> SESResult:
     """Train SES on ``graph`` under ``profile`` and return the result.
 
-    With ``REPRO_TELEMETRY=1`` (or an explicit ``recorder``) the run emits a
-    JSON-lines record readable by ``python -m repro obs-report``.  When no
-    recorder is passed the trainer itself consults
-    :func:`repro.obs.default_recorder`, so this wrapper adds nothing beyond
-    config assembly — harnesses that build :class:`SESTrainer` directly get
-    identical telemetry.
+    With ``REPRO_TELEMETRY=1`` the run emits a JSON-lines record readable by
+    ``python -m repro obs-report``: the trainer consults
+    :func:`repro.obs.default_recorder`, so harnesses that build
+    :class:`SESTrainer` directly get identical telemetry.
     """
     config = ses_config(profile, backbone=backbone, seed=seed, **overrides)
-    if recorder is None:
-        trainer = SESTrainer(graph, config)
-        return trainer.fit()
-    try:
-        trainer = SESTrainer(graph, config, recorder=recorder)
-        return trainer.fit()
-    finally:
-        recorder.close()
+    return SESTrainer(graph, config).fit()
 
 
 def mean_std(values: Sequence[float]) -> str:

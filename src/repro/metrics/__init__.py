@@ -2,14 +2,13 @@
 
 from .classification import accuracy, logits_to_predictions
 from .clustering import calinski_harabasz_score, silhouette_score
-from .explanation import fidelity_plus, roc_auc_score, sparsity
+from .explanation import fidelity_plus, roc_auc_score
 
 __all__ = [
     "accuracy",
     "logits_to_predictions",
     "roc_auc_score",
     "fidelity_plus",
-    "sparsity",
     "silhouette_score",
     "calinski_harabasz_score",
 ]

@@ -88,11 +88,3 @@ def fidelity_plus(
     if mask is not None:
         deltas = deltas[np.asarray(mask, dtype=bool)]
     return float(deltas.mean())
-
-
-def sparsity(importance: np.ndarray, threshold: float = 0.5) -> float:
-    """Fraction of importance entries below ``threshold`` (higher = sparser)."""
-    importance = np.asarray(importance)
-    if importance.size == 0:
-        raise ValueError("empty importance array")
-    return float((importance < threshold).mean())

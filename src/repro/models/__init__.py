@@ -1,10 +1,8 @@
 """Baseline models: trivial GNN classifiers, SEGNN, ProtGNN."""
 
 from .classifiers import (
-    ARMAClassifier,
     ASDGNClassifier,
     ClassifierResult,
-    GINClassifier,
     UniMPClassifier,
     build_model,
     train_node_classifier,
@@ -16,8 +14,6 @@ __all__ = [
     "build_model",
     "train_node_classifier",
     "ClassifierResult",
-    "ARMAClassifier",
-    "GINClassifier",
     "ASDGNClassifier",
     "UniMPClassifier",
     "SEGNN",

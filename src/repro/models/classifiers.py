@@ -1,8 +1,8 @@
 """Baseline node classifiers for Table 3.
 
-A single :class:`NodeClassifier` harness trains any of the "trivial GNN"
-baselines (GCN, GAT, FusedGAT, GraphSAGE, GIN, ARMA, A-SDGN) plus the
-UniMP label-propagation model, with the paper's settings (Adam, lr 3e-3,
+A single harness, :func:`train_node_classifier`, trains any of the
+"trivial GNN" baselines (GCN, GAT, FusedGAT, A-SDGN) plus the UniMP
+label-propagation model, with the paper's settings (Adam, lr 3e-3,
 hidden 128, 60/20/20 split).
 """
 
@@ -15,52 +15,10 @@ import numpy as np
 
 from ..graph import Graph
 from ..metrics import accuracy, logits_to_predictions
-from ..nn import (
-    ARMAConv,
-    ASDGNConv,
-    GINConv,
-    GraphEncoder,
-    TransformerConv,
-    share_edge_cache,
-)
+from ..nn import ASDGNConv, GraphEncoder, TransformerConv, share_edge_cache
+from ..nn.encoder import BACKBONES
 from ..tensor import Adam, Linear, Module, Tensor, functional as F, no_grad
 from ..utils import make_rng
-
-
-class ARMAClassifier(Module):
-    """Two stacked ARMA layers."""
-
-    def __init__(self, num_features: int, hidden: int, num_classes: int, rng) -> None:
-        super().__init__()
-        self.conv1 = ARMAConv(num_features, hidden, rng=rng)
-        self.conv2 = ARMAConv(hidden, num_classes, rng=rng)
-        share_edge_cache(self.conv1, self.conv2)
-
-    def forward(self, x, edge_index, num_nodes, edge_weight=None):
-        h = F.relu(self.conv1(x, edge_index, num_nodes, edge_weight))
-        return self.conv2(h, edge_index, num_nodes, edge_weight)
-
-    def forward_with_hidden(self, x, edge_index, num_nodes, edge_weight=None):
-        h = self.conv1(x, edge_index, num_nodes, edge_weight)
-        return h, self.conv2(F.relu(h), edge_index, num_nodes, edge_weight)
-
-
-class GINClassifier(Module):
-    """Two stacked GIN layers."""
-
-    def __init__(self, num_features: int, hidden: int, num_classes: int, rng) -> None:
-        super().__init__()
-        self.conv1 = GINConv(num_features, hidden, rng=rng)
-        self.conv2 = GINConv(hidden, num_classes, rng=rng)
-        share_edge_cache(self.conv1, self.conv2)
-
-    def forward(self, x, edge_index, num_nodes, edge_weight=None):
-        h = F.relu(self.conv1(x, edge_index, num_nodes, edge_weight))
-        return self.conv2(h, edge_index, num_nodes, edge_weight)
-
-    def forward_with_hidden(self, x, edge_index, num_nodes, edge_weight=None):
-        h = self.conv1(x, edge_index, num_nodes, edge_weight)
-        return h, self.conv2(F.relu(h), edge_index, num_nodes, edge_weight)
 
 
 class ASDGNClassifier(Module):
@@ -135,7 +93,7 @@ class UniMPClassifier(Module):
         return h, self.conv2(h, edge_index, num_nodes, edge_weight)
 
 
-_MODEL_NAMES = ("gcn", "gat", "fusedgat", "sage", "gin", "arma", "unimp", "asdgn")
+_MODEL_NAMES = BACKBONES + ("unimp", "asdgn")
 
 
 def build_model(
@@ -149,15 +107,11 @@ def build_model(
 ) -> Module:
     """Instantiate a baseline model by name."""
     key = name.lower()
-    if key in ("gcn", "gat", "fusedgat", "sage"):
+    if key in BACKBONES:
         return GraphEncoder(
             num_features, hidden, num_classes, backbone=key, dropout=dropout,
             heads=heads, rng=rng,
         )
-    if key == "gin":
-        return GINClassifier(num_features, hidden, num_classes, rng)
-    if key == "arma":
-        return ARMAClassifier(num_features, hidden, num_classes, rng)
     if key == "unimp":
         return UniMPClassifier(num_features, hidden, num_classes, rng)
     if key == "asdgn":
@@ -235,13 +189,9 @@ def train_node_classifier(
     logits = _forward_eval(model, graph, graph.features)
     model.eval()
     with no_grad():
-        if hasattr(model, "forward_with_hidden"):
-            hidden_out, _ = model.forward_with_hidden(
-                features, edge_index, graph.num_nodes, **kwargs
-            )
-            hidden_np = hidden_out.data
-        else:
-            hidden_np = logits
+        hidden_out, _ = model.forward_with_hidden(
+            features, edge_index, graph.num_nodes, **kwargs
+        )
     predictions = logits_to_predictions(logits)
     return ClassifierResult(
         name=name,
@@ -253,7 +203,7 @@ def train_node_classifier(
         ),
         losses=losses,
         logits=logits,
-        hidden=hidden_np,
+        hidden=hidden_out.data,
         predictions=predictions,
         model=model,
         graph=graph,

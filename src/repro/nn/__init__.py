@@ -1,6 +1,5 @@
 """Graph convolution layers and the shared SES graph encoder."""
 
-from .arma import ARMAConv
 from .asdgn import ASDGNConv
 from .base import (
     GraphConv,
@@ -13,8 +12,6 @@ from .encoder import GraphEncoder
 from .fusedgat import FusedGATConv
 from .gat import GATConv
 from .gcn import GCNConv
-from .gin import GINConv
-from .sage import SAGEConv
 from .unimp import TransformerConv
 
 __all__ = [
@@ -26,9 +23,6 @@ __all__ = [
     "GCNConv",
     "GATConv",
     "FusedGATConv",
-    "SAGEConv",
-    "GINConv",
-    "ARMAConv",
     "TransformerConv",
     "ASDGNConv",
     "GraphEncoder",

@@ -2,8 +2,9 @@
 
 ``Z = Conv2(sigma(Conv1(A, X)), A)`` where ``H = Conv1(A, X)`` — the first
 layer's *pre-activation* hidden representation — also feeds the mask
-generator (Eq. 3).  The backbone conv is pluggable ("gcn" or "gat",
-following §5.2: "We only report results of SES with GCN and GAT").
+generator (Eq. 3).  The backbone conv is one of :data:`BACKBONES` ("gcn"
+or "gat", following §5.2: "We only report results of SES with GCN and
+GAT", plus "fusedgat", the same attention as "gat" for Table 3).
 
 The encoder accepts an optional differentiable ``edge_weight`` so the same
 parameters serve the plain forward (Eq. 2), the masked forward of
@@ -22,9 +23,8 @@ from .fusedgat import FusedGATConv
 from .base import share_edge_cache
 from .gat import GATConv
 from .gcn import GCNConv
-from .sage import SAGEConv
 
-_BACKBONES = {"gcn", "gat", "fusedgat", "sage"}
+BACKBONES = ("gcn", "gat", "fusedgat")
 
 
 def _make_conv(backbone: str, in_features: int, out_features: int, rng, heads: int):
@@ -34,9 +34,7 @@ def _make_conv(backbone: str, in_features: int, out_features: int, rng, heads: i
         return GATConv(in_features, out_features, heads=heads, rng=rng)
     if backbone == "fusedgat":
         return FusedGATConv(in_features, out_features, heads=heads, rng=rng)
-    if backbone == "sage":
-        return SAGEConv(in_features, out_features, rng=rng)
-    raise ValueError(f"unknown backbone {backbone!r}; expected one of {sorted(_BACKBONES)}")
+    raise ValueError(f"unknown backbone {backbone!r}; expected one of {BACKBONES}")
 
 
 class GraphEncoder(Module):
@@ -47,13 +45,17 @@ class GraphEncoder(Module):
     in_features / hidden_features / out_features:
         Input width, hidden width (128 in the paper) and class count.
     backbone:
-        ``"gcn"``, ``"gat"``, ``"fusedgat"`` or ``"sage"``.
+        One of :data:`BACKBONES`: ``"gcn"``, ``"gat"`` or ``"fusedgat"``.
     dropout:
-        Dropout applied to the activated hidden layer during training.
+        Rate of the dropout applied to the activated hidden layer in training.
     heads:
-        Attention heads for attention backbones (output layer uses 1 head
-        via averaging, as in the original GAT).
+        Attention heads of the first layer for attention backbones (the
+        output layer has 1 head, as in the original GAT).
     """
+
+    #: Message-passing depth; minibatch and shard extraction read it as
+    #: the receptive-field hop count.
+    num_layers = 2
 
     def __init__(
         self,
@@ -64,12 +66,9 @@ class GraphEncoder(Module):
         dropout: float = 0.5,
         heads: int = 4,
         representation_head: bool = False,
-        num_layers: int = 2,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         super().__init__()
-        if num_layers < 2:
-            raise ValueError("GraphEncoder needs at least 2 layers")
         rng = rng or np.random.default_rng()
         self.backbone = backbone
         self.hidden_features = hidden_features
@@ -77,28 +76,19 @@ class GraphEncoder(Module):
         self.dropout_p = dropout
         self._rng = rng
         self.representation_head = representation_head
-        self.num_layers = num_layers
         self.conv1 = _make_conv(backbone, in_features, hidden_features, rng, heads)
-        # Optional middle layers (structural-role tasks need 3 hops; the
-        # GNNExplainer benchmarks use 3-layer GCNs).
-        self.middle_convs = []
-        for i in range(num_layers - 2):
-            conv = _make_conv(backbone, hidden_features, hidden_features, rng, heads)
-            self.register_module(f"conv_mid_{i}", conv)
-            self.middle_convs.append(conv)
         # With a representation head (the SES configuration — the paper's
         # Fig. 5 embeddings are 128-d), conv2 keeps the hidden width and a
         # linear head produces class logits; the triplet loss then operates
         # on the representation, not the logits.
         conv2_out = hidden_features if representation_head else out_features
-        if backbone in ("gat", "fusedgat"):
-            self.conv2 = _make_conv(backbone, hidden_features, conv2_out, rng, heads=1)
-        else:
-            self.conv2 = _make_conv(backbone, hidden_features, conv2_out, rng, heads)
+        # One output head for the attention backbones, as in the original
+        # GAT; GCN takes no heads.
+        self.conv2 = _make_conv(backbone, hidden_features, conv2_out, rng, heads=1)
         self.head = (
             Linear(hidden_features, out_features, rng=rng) if representation_head else None
         )
-        share_edge_cache(self.conv1, *self.middle_convs, self.conv2)
+        share_edge_cache(self.conv1, self.conv2)
         self.activation = F.elu if backbone in ("gat", "fusedgat") else F.relu
 
     def forward(
@@ -139,17 +129,9 @@ class GraphEncoder(Module):
             activated = F.dropout(
                 activated, self.dropout_p, training=self.training, rng=self._rng
             )
-        for conv in self.middle_convs:
-            activated = self.activation(conv(activated, edge_index, num_nodes, edge_weight))
         representation = self.conv2(activated, edge_index, num_nodes, edge_weight)
         if self.head is not None:
             logits = self.head(self.activation(representation))
         else:
             logits = representation
         return hidden, representation, logits
-
-    def attention_scores(self) -> np.ndarray:
-        """First-layer attention per edge (attention backbones only)."""
-        if not hasattr(self.conv1, "edge_attention_scores"):
-            raise RuntimeError(f"backbone {self.backbone!r} has no attention scores")
-        return self.conv1.edge_attention_scores()

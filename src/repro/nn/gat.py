@@ -17,6 +17,7 @@ from typing import Optional
 import numpy as np
 
 from ..tensor import Tensor, as_tensor, functional as F, gather_rows, segment_softmax, segment_sum
+from ..tensor.csr import EdgeLayouts
 from ..tensor.init import xavier_uniform, xavier_uniform_shape, zeros_init
 from .base import GraphConv, extend_edge_weight_scaled, looped_constants
 
@@ -27,13 +28,10 @@ class GATConv(GraphConv):
     Parameters
     ----------
     in_features, out_features:
-        ``out_features`` is the *total* output width; it must be divisible
-        by ``heads`` when ``concat=True``.
+        ``out_features`` is the *total* output width, the concatenation of
+        the heads; it must be divisible by ``heads``.
     heads:
         Number of attention heads.
-    concat:
-        Concatenate head outputs (hidden layers) or average them (output
-        layer), following the original architecture.
     """
 
     def __init__(
@@ -41,32 +39,32 @@ class GATConv(GraphConv):
         in_features: int,
         out_features: int,
         heads: int = 4,
-        concat: bool = True,
-        negative_slope: float = 0.2,
-        bias: bool = True,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         super().__init__()
         rng = rng or np.random.default_rng()
-        if concat:
-            if out_features % heads:
-                raise ValueError(
-                    f"out_features={out_features} not divisible by heads={heads}"
-                )
-            self.head_dim = out_features // heads
-        else:
-            self.head_dim = out_features
+        if out_features % heads:
+            raise ValueError(f"out_features={out_features} not divisible by heads={heads}")
+        self.head_dim = out_features // heads
         self.in_features = in_features
         self.out_features = out_features
         self.heads = heads
-        self.concat = concat
-        self.negative_slope = negative_slope
         self.weight = xavier_uniform(in_features, heads * self.head_dim, rng)
         self.att_src = xavier_uniform_shape((heads, self.head_dim), rng)
         self.att_dst = xavier_uniform_shape((heads, self.head_dim), rng)
-        self.bias = zeros_init((out_features,)) if bias else None
+        self.bias = zeros_init((out_features,))
         self.last_attention: Optional[np.ndarray] = None
         self.last_edge_index: Optional[np.ndarray] = None
+
+    def _edge_scores(
+        self, h: Tensor, src: np.ndarray, dst: np.ndarray, layouts: EdgeLayouts
+    ) -> Tensor:
+        """``(E, H)`` additive scores ``a_s . h_src + a_d . h_dst`` per edge."""
+        score_src = (h * self.att_src).sum(axis=-1)  # (N, H)
+        score_dst = (h * self.att_dst).sum(axis=-1)
+        return gather_rows(score_src, src, layout=layouts.src) + gather_rows(
+            score_dst, dst, layout=layouts.dst
+        )
 
     def forward(
         self,
@@ -81,12 +79,7 @@ class GATConv(GraphConv):
         src, dst = full_index
         h = (x @ self.weight).reshape(num_nodes, self.heads, self.head_dim)
         # Additive attention: alpha_e = leakyrelu(a_s . h_src + a_d . h_dst).
-        score_src = (h * self.att_src).sum(axis=-1)  # (N, H)
-        score_dst = (h * self.att_dst).sum(axis=-1)
-        edge_scores = gather_rows(score_src, src, layout=layouts.src) + gather_rows(
-            score_dst, dst, layout=layouts.dst
-        )
-        edge_scores = F.leaky_relu(edge_scores, self.negative_slope)
+        edge_scores = F.leaky_relu(self._edge_scores(h, src, dst, layouts))
         alpha = segment_softmax(edge_scores, dst, num_nodes, layout=layouts.dst)  # (E, H)
         self.last_attention = alpha.data.copy()
         self.last_edge_index = full_index
@@ -99,13 +92,7 @@ class GATConv(GraphConv):
             alpha = alpha / gather_rows(totals, dst, layout=layouts.dst)
         messages = gather_rows(h, src, layout=layouts.src) * alpha.reshape(-1, self.heads, 1)
         out = segment_sum(messages, dst, num_nodes, layout=layouts.dst)  # (N, H, D)
-        if self.concat:
-            out = out.reshape(num_nodes, self.heads * self.head_dim)
-        else:
-            out = out.mean(axis=1)
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return out.reshape(num_nodes, self.heads * self.head_dim) + self.bias
 
     def edge_attention_scores(self) -> np.ndarray:
         """Head-averaged attention per edge of the last forward pass."""

@@ -29,7 +29,6 @@ class GCNConv(GraphConv):
         self,
         in_features: int,
         out_features: int,
-        bias: bool = True,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         super().__init__()
@@ -37,7 +36,7 @@ class GCNConv(GraphConv):
         self.in_features = in_features
         self.out_features = out_features
         self.weight = xavier_uniform(in_features, out_features, rng)
-        self.bias = zeros_init((out_features,)) if bias else None
+        self.bias = zeros_init((out_features,))
 
     def forward(
         self,
@@ -56,9 +55,7 @@ class GCNConv(GraphConv):
             )
         else:
             out = self._masked_aggregate(h, edge_index, num_nodes, edge_weight)
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return out + self.bias
 
     def _masked_aggregate(
         self, h: Tensor, edge_index: np.ndarray, num_nodes: int, edge_weight: Tensor

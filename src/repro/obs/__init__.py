@@ -48,14 +48,13 @@ from .metrics import (
 )
 from .monitors import (
     NaNWatchdog,
-    NumericalAnomalyError,
     activation_stats,
     grad_stats,
     mask_health,
     param_stats,
     triplet_margin,
 )
-from .profiler import OpProfiler, OpStat, active_profiler
+from .profiler import OpProfiler, OpStat
 from .recorder import (
     DEFAULT_RUNS_DIR,
     NullRecorder,
@@ -80,7 +79,6 @@ __all__ = [
     "make_event",
     "OpProfiler",
     "OpStat",
-    "active_profiler",
     "DEFAULT_RUNS_DIR",
     "NullRecorder",
     "RunRecorder",
@@ -92,7 +90,6 @@ __all__ = [
     "mask_health",
     "triplet_margin",
     "NaNWatchdog",
-    "NumericalAnomalyError",
     "load_events",
     "normalize_span_path",
     "render_report",

@@ -17,8 +17,7 @@ failure modes into structured telemetry events (:mod:`repro.obs.events`):
 * :class:`NaNWatchdog` — hooks ``Tensor._make`` (the same choke point
   :class:`~repro.obs.profiler.OpProfiler` uses) and every recorded backward
   closure; the first NaN/Inf produces a ``numerical_event`` naming the
-  offending op, direction, phase and epoch — or raises
-  :class:`NumericalAnomalyError` in ``action="raise"`` mode.
+  offending op, direction, phase and epoch.
 
 The five payload functions are pure: each returns the event payload (or
 ``None`` when there is nothing to report) and the caller emits it.  The
@@ -185,20 +184,6 @@ def triplet_margin(
 _MAX_EVENTS = 10
 
 
-class NumericalAnomalyError(ArithmeticError):
-    """Raised by :class:`NaNWatchdog` in ``action="raise"`` mode."""
-
-    def __init__(self, op: str, direction: str, kind: str,
-                 phase: Optional[str] = None, epoch: Optional[int] = None) -> None:
-        self.op = op
-        self.direction = direction
-        self.kind = kind
-        self.phase = phase
-        self.epoch = epoch
-        where = f" (phase={phase}, epoch={epoch})" if phase is not None else ""
-        super().__init__(f"{kind} in {direction} of op {op!r}{where}")
-
-
 class NaNWatchdog:
     """Context manager that checks every op output / backward gradient.
 
@@ -207,10 +192,7 @@ class NaNWatchdog:
     the upstream gradient entering each recorded backward closure — is
     scanned for NaN/Inf.  The first anomaly produces a structured
     ``numerical_event`` naming the op, direction (forward/backward), kind
-    (nan/inf), and the current phase/epoch from :attr:`context`; with
-    ``action="raise"`` it additionally raises
-    :class:`NumericalAnomalyError` at the op, which is exactly where a
-    debugger wants to stop.
+    (nan/inf), and the current phase/epoch from :attr:`context`.
 
     Composes with an active profiler (it wraps whatever ``Tensor._make``
     currently is); enter/exit must nest LIFO, like the profiler itself.
@@ -218,11 +200,8 @@ class NaNWatchdog:
     monitor — is opt-in: outside the context ``Tensor._make`` is pristine.
     """
 
-    def __init__(self, recorder=None, action: str = "record") -> None:
-        if action not in ("record", "raise"):
-            raise ValueError("action must be 'record' or 'raise'")
+    def __init__(self, recorder=None) -> None:
         self.recorder = recorder if recorder is not None else NullRecorder()
-        self.action = action
         self.context: Dict[str, Any] = {"phase": None, "epoch": None}
         self.anomalies: List[Dict[str, Any]] = []
         self.suppressed = 0
@@ -272,9 +251,6 @@ class NaNWatchdog:
             self.recorder.emit("numerical_event", **record)
         else:
             self.suppressed += 1
-        if self.action == "raise":
-            raise NumericalAnomalyError(op, direction, kind,
-                                        phase=record["phase"], epoch=record["epoch"])
 
     def state_dict(self) -> Dict[str, Any]:
         """Anomaly log + context (JSON-safe), for checkpoint/resume."""

@@ -48,11 +48,6 @@ from ..utils.units import format_bytes
 _active: Optional["OpProfiler"] = None
 
 
-def active_profiler() -> Optional["OpProfiler"]:
-    """Return the currently-enabled profiler, if any."""
-    return _active
-
-
 @dataclass
 class OpStat:
     """Aggregated counters for one op name."""

@@ -15,18 +15,11 @@ Four pieces, layered bottom-up:
   divergence, learning-rate backoff, bounded retries, then graceful
   degradation to frozen-mask phase-2-only training.
 * :mod:`~repro.resilience.faults` — :class:`FaultPlan` (``REPRO_FAULTS``)
-  injecting :class:`SimulatedCrash` and NaN poisons, plus byte-level
-  checkpoint corruption helpers; the harness the crash-equivalence suite
-  drives.
+  injecting :class:`SimulatedCrash` and NaN poisons; the harness the
+  crash-equivalence suite drives.
 """
 
-from .faults import (
-    FaultPlan,
-    FaultSpec,
-    SimulatedCrash,
-    corrupt_file,
-    truncate_file,
-)
+from .faults import FaultPlan, FaultSpec, SimulatedCrash
 from .policy import (
     RecoveryManager,
     RecoveryPolicy,
@@ -80,6 +73,4 @@ __all__ = [
     "FaultPlan",
     "FaultSpec",
     "SimulatedCrash",
-    "corrupt_file",
-    "truncate_file",
 ]

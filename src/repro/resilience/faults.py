@@ -29,9 +29,6 @@ the field) deterministic ways to break training on purpose:
   offending token — a typo in ``REPRO_FAULTS`` should read as a usage
   error, not a stack trace from an unpack deep inside the trainer.
 
-* :func:`truncate_file` / :func:`corrupt_file` — byte-level checkpoint
-  damage for the corruption-detection tests.
-
 Each spec fires at most once per process, so a run that recovers from an
 injected fault is not immediately re-injured by the same spec.
 """
@@ -41,8 +38,7 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -241,32 +237,3 @@ class FaultPlan:
             yield
         finally:
             Tensor._make = original
-
-
-# ----------------------------------------------------------------------
-# Byte-level checkpoint damage (for corruption-detection tests)
-# ----------------------------------------------------------------------
-def truncate_file(path: Union[str, Path], keep_fraction: float = 0.5) -> Path:
-    """Truncate a file to a fraction of its size (a mid-write kill stand-in)."""
-    path = Path(path)
-    size = path.stat().st_size
-    keep = max(1, int(size * keep_fraction))
-    with open(path, "rb+") as handle:
-        handle.truncate(keep)
-    return path
-
-
-def corrupt_file(path: Union[str, Path], offset: Optional[int] = None) -> Tuple[Path, int]:
-    """Flip one byte (default: mid-file) — well-formed zip, damaged payload."""
-    path = Path(path)
-    size = path.stat().st_size
-    if size == 0:
-        raise ValueError(f"cannot corrupt empty file {path}")
-    position = size // 2 if offset is None else offset
-    position = min(max(position, 0), size - 1)
-    with open(path, "rb+") as handle:
-        handle.seek(position)
-        byte = handle.read(1)
-        handle.seek(position)
-        handle.write(bytes([byte[0] ^ 0xFF]))
-    return path, position

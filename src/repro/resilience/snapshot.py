@@ -2,8 +2,8 @@
 
 A :class:`TrainingSnapshot` captures the *complete* state of a
 :class:`~repro.core.ses.SESTrainer` at an epoch boundary — not just model
-parameters (which :func:`repro.io.save_checkpoint` already covers) but every
-piece of mutable state the two-phase schedule threads between epochs:
+parameters but every piece of mutable state the two-phase schedule threads
+between epochs:
 
 * model + mask-generator parameters, and the tracked best-validation state;
 * each phase optimizer's internal state (Adam moments + step count, so bias

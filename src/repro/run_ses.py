@@ -110,6 +110,16 @@ def main(argv=None) -> int:
                 parser.error(f"{flag} applies only with --workers")
     if args.resume not in (None, "auto") and not Path(args.resume).exists():
         parser.error(f"--resume: no such file or directory: {args.resume}")
+
+    from .datasets import dataset_key, dataset_names
+    from .nn.encoder import BACKBONES
+
+    if dataset_key(args.dataset) not in dataset_names():
+        parser.error(f"--dataset: unknown dataset {args.dataset!r}; "
+                     f"expected one of {tuple(dataset_names())}")
+    if args.backbone not in BACKBONES:
+        parser.error(f"--backbone: unknown backbone {args.backbone!r}; "
+                     f"expected one of {BACKBONES}")
     # The flag wins over its environment variable; whichever is used is
     # checked here, before the dataset load, not inside SESTrainer.
     from .resilience import (

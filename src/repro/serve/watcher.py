@@ -160,7 +160,3 @@ class SnapshotWatcher:
         self._stop.set()
         if self._thread.is_alive():
             self._thread.join(timeout=timeout)
-
-    @property
-    def alive(self) -> bool:
-        return self._thread.is_alive()

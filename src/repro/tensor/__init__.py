@@ -11,8 +11,7 @@ This subpackage replaces PyTorch for the SES reproduction.  Public surface:
   evaluated without building the concatenation (the SES Eq. 4 scorer).
 * :func:`edge_spmm` — the edge-weighted sparse product ``A_w @ h`` of
   message passing, differentiable in ``h`` and in the edge weights.
-* :class:`Module`, :class:`Linear`, :class:`MLP`, :class:`Dropout` — NN
-  building blocks.
+* :class:`Module`, :class:`Linear`, :class:`MLP` — NN building blocks.
 * :class:`Adam` — the optimiser (on the :class:`Optimizer` base).
 * :class:`AllocationTracker` — passive byte accounting used by the
   observability layer (:mod:`repro.obs`).
@@ -22,7 +21,7 @@ from . import functional
 from .alloc import AllocationTracker
 from .csr import CSRSegmentLayout, cached_layout, clear_layout_cache
 from .init import xavier_uniform, xavier_uniform_shape, zeros_init
-from .module import MLP, Dropout, Linear, Module
+from .module import MLP, Linear, Module
 from .optim import Adam, Optimizer
 from .scatter import gather_rows, pair_mlp, segment_mean, segment_softmax, segment_sum
 from .sparse import edge_spmm
@@ -48,7 +47,6 @@ __all__ = [
     "Module",
     "Linear",
     "MLP",
-    "Dropout",
     "xavier_uniform",
     "xavier_uniform_shape",
     "zeros_init",

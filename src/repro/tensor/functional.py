@@ -1,6 +1,6 @@
 """Differentiable functions built on top of :class:`repro.tensor.Tensor`.
 
-Activations, (log-)softmax, dropout, structural ops (concatenate / stack /
+Activations, log-softmax, dropout, structural ops (concatenate / stack /
 where) and the loss functions used throughout the SES reproduction.  Each
 function constructs the forward value with plain numpy and wires a closure
 computing the exact local adjoint.
@@ -29,10 +29,10 @@ def relu(x: Tensor) -> Tensor:
     return Tensor._make(x.data * mask, (x,), backward)
 
 
-def leaky_relu(x: Tensor, negative_slope: float = 0.2) -> Tensor:
+def leaky_relu(x: Tensor) -> Tensor:
     """Leaky ReLU with the PyG-default slope of 0.2 (used by GAT)."""
     mask = x.data > 0
-    slope = np.where(mask, 1.0, negative_slope)
+    slope = np.where(mask, 1.0, 0.2)
 
     def backward(grad: np.ndarray) -> None:
         x._accumulate(grad * slope)
@@ -69,19 +69,6 @@ def tanh(x: Tensor) -> Tensor:
 
     def backward(grad: np.ndarray) -> None:
         x._accumulate(grad * (1.0 - out_data * out_data))
-
-    return Tensor._make(out_data, (x,), backward)
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along ``axis``."""
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    exp = np.exp(shifted)
-    out_data = exp / exp.sum(axis=axis, keepdims=True)
-
-    def backward(grad: np.ndarray) -> None:
-        inner = (grad * out_data).sum(axis=axis, keepdims=True)
-        x._accumulate(out_data * (grad - inner))
 
     return Tensor._make(out_data, (x,), backward)
 

@@ -1,9 +1,9 @@
 """Minimal neural-network module system (the ``torch.nn`` substitute).
 
 :class:`Module` provides recursive parameter discovery, train/eval mode, and
-gradient zeroing.  :class:`Linear`, :class:`MLP` and :class:`Dropout`
-cover every architecture in the SES stack; graph
-convolutions in :mod:`repro.nn` subclass :class:`Module` as well.
+gradient zeroing.  :class:`Linear` and :class:`MLP` cover every
+architecture in the SES stack; graph convolutions in :mod:`repro.nn`
+subclass :class:`Module` as well.
 """
 
 from __future__ import annotations
@@ -118,27 +118,13 @@ class Linear(Module):
         return out
 
 
-class Dropout(Module):
-    """Inverted dropout layer; inert in eval mode."""
-
-    def __init__(self, p: float = 0.5, rng: Optional[np.random.Generator] = None) -> None:
-        super().__init__()
-        self.p = p
-        self.rng = rng or np.random.default_rng()
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.dropout(x, self.p, training=self.training, rng=self.rng)
-
-
 class MLP(Module):
     """Multi-layer perceptron used by the SES feature-mask generator (Eq. 3).
 
     Parameters
     ----------
     dims:
-        Layer widths, e.g. ``(hidden, hidden, F)``.
-    activation:
-        Hidden-layer nonlinearity (default ReLU).
+        Layer widths, e.g. ``(hidden, hidden, F)``; hidden layers use ReLU.
     final_activation:
         Optional output nonlinearity — the mask generator uses a sigmoid so
         mask weights live in ``(0, 1)``.
@@ -147,19 +133,14 @@ class MLP(Module):
     def __init__(
         self,
         dims: Sequence[int],
-        activation: Callable[[Tensor], Tensor] = F.relu,
         final_activation: Optional[Callable[[Tensor], Tensor]] = None,
-        dropout: float = 0.0,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         super().__init__()
         if len(dims) < 2:
             raise ValueError("MLP needs at least an input and an output width")
         rng = rng or np.random.default_rng()
-        self.activation = activation
         self.final_activation = final_activation
-        self.dropout_p = dropout
-        self._rng = rng
         self.linears: List[Linear] = []
         for i, (din, dout) in enumerate(zip(dims[:-1], dims[1:])):
             layer = Linear(din, dout, rng=rng)
@@ -171,9 +152,7 @@ class MLP(Module):
         for i, layer in enumerate(self.linears):
             x = layer(x)
             if i < last:
-                x = self.activation(x)
-                if self.dropout_p > 0:
-                    x = F.dropout(x, self.dropout_p, training=self.training, rng=self._rng)
+                x = F.relu(x)
         if self.final_activation is not None:
             x = self.final_activation(x)
         return x

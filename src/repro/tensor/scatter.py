@@ -37,7 +37,6 @@ from typing import Optional
 import numpy as np
 
 from .csr import CSRSegmentLayout, cached_layout
-from .functional import relu
 from .tensor import Tensor, as_tensor
 
 
@@ -115,15 +114,13 @@ def pair_mlp(mlp, hidden: Tensor, pairs: np.ndarray) -> Tensor:
     linears = getattr(mlp, "linears", ())
     if (
         len(linears) != 2
-        or mlp.dropout_p
         or mlp.final_activation is not None
-        or mlp.activation is not relu
         or any(layer.bias is None for layer in linears)
         or linears[1].out_features != 1
     ):
         raise ValueError(
-            "pair_mlp needs a 2-layer ReLU MLP with biases, one output, "
-            "no dropout and no final activation"
+            "pair_mlp needs a 2-layer MLP with biases, one output "
+            "and no final activation"
         )
     first, second = linears
     num_nodes, d = hidden.shape

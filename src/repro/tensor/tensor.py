@@ -136,17 +136,9 @@ class Tensor:
         label = f", name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}{flag}{label})"
 
-    def numpy(self) -> np.ndarray:
-        """Return the underlying array (not a copy)."""
-        return self.data
-
     def item(self) -> float:
         """Return the value of a single-element tensor as a python float."""
         return float(self.data.item())
-
-    def detach(self) -> "Tensor":
-        """Return a new tensor sharing data but cut off from the graph."""
-        return Tensor(self.data, requires_grad=False)
 
     def copy(self) -> "Tensor":
         """Return a detached deep copy."""

@@ -55,6 +55,7 @@ class TestConfig:
             ("dropout", 1.0),
             ("weight_decay", -1.0),
             ("heads", 0),
+            ("backbone", "sage"),
         ],
     )
     def test_model_fields_rejected_with_one_line_naming_the_field(self, field, value):

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import SESConfig, SESTrainer, fast_config
-from repro.metrics import accuracy
+from repro.core import SESTrainer, fast_config
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,6 @@
 """Unit tests for the dataset ground-truth helpers."""
 
 import numpy as np
-import pytest
 
 from repro.datasets.base import (
     attach_ground_truth,

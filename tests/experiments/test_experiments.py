@@ -7,7 +7,7 @@ machinery plus the cheapest harnesses end to end on micro profiles.
 import numpy as np
 import pytest
 
-from repro.experiments import ALL_EXPERIMENTS, QUICK, TableResult, get_profile
+from repro.experiments import ALL_EXPERIMENTS, TableResult, get_profile
 from repro.experiments.common import (
     Profile,
     mean_std,

@@ -1,7 +1,6 @@
 """Unit tests for explainer-internal math helpers."""
 
 import numpy as np
-import pytest
 
 from repro.explainers.gnn_explainer import _bernoulli_entropy
 from repro.explainers.pg_explainer import _entropy

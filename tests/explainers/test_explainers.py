@@ -10,7 +10,6 @@ import pytest
 
 from repro.explainers import (
     AttentionExplainer,
-    Explainer,
     GNNExplainer,
     GradExplainer,
     GraphLIME,

@@ -1,7 +1,6 @@
 """Unit tests for GraphLIME's numerical building blocks."""
 
 import numpy as np
-import pytest
 
 from repro.explainers.graphlime import _center, _nonnegative_lasso, _rbf
 

@@ -10,7 +10,6 @@ from repro.metrics import (
     logits_to_predictions,
     roc_auc_score,
     silhouette_score,
-    sparsity,
 )
 
 
@@ -157,13 +156,6 @@ class TestFidelity:
         assert oversized == fidelity_plus(
             predict, features, labels, importance, top_k=3
         )
-
-    def test_sparsity(self):
-        assert sparsity(np.array([0.1, 0.9, 0.2]), threshold=0.5) == pytest.approx(2 / 3)
-
-    def test_sparsity_empty_raises(self):
-        with pytest.raises(ValueError):
-            sparsity(np.array([]))
 
 
 class TestClustering:

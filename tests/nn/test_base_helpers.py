@@ -116,8 +116,8 @@ class TestEdgeConstantCache:
         assert cache.get(gcn_constants, lists[0], 4) is first
 
     def test_encoder_convs_share_one_cache(self, edges):
-        encoder = GraphEncoder(3, 4, 2, num_layers=3, rng=np.random.default_rng(0))
-        convs = [encoder.conv1, *encoder.middle_convs, encoder.conv2]
+        encoder = GraphEncoder(3, 4, 2, rng=np.random.default_rng(0))
+        convs = [encoder.conv1, encoder.conv2]
         cache = encoder.conv1._edge_cache
         assert all(conv._edge_cache is cache for conv in convs)
         assert cache.limit == len(convs) * EdgeConstantCache.ENTRIES_PER_CONV

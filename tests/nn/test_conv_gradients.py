@@ -9,16 +9,7 @@ central differences.
 import numpy as np
 import pytest
 
-from repro.nn import (
-    ARMAConv,
-    ASDGNConv,
-    FusedGATConv,
-    GATConv,
-    GCNConv,
-    GINConv,
-    SAGEConv,
-    TransformerConv,
-)
+from repro.nn import ASDGNConv, FusedGATConv, GATConv, GCNConv, TransformerConv
 from repro.tensor import Tensor
 from tests.conftest import numeric_gradient
 
@@ -28,9 +19,6 @@ CONVS = [
     ("gcn", lambda rng: GCNConv(F_IN, F_OUT, rng=rng)),
     ("gat", lambda rng: GATConv(F_IN, F_OUT, heads=2, rng=rng)),
     ("fusedgat", lambda rng: FusedGATConv(F_IN, F_OUT, heads=2, rng=rng)),
-    ("sage", lambda rng: SAGEConv(F_IN, F_OUT, rng=rng)),
-    ("gin", lambda rng: GINConv(F_IN, F_OUT, rng=rng)),
-    ("arma", lambda rng: ARMAConv(F_IN, F_OUT, num_stacks=1, num_layers=1, rng=rng)),
     ("transformer", lambda rng: TransformerConv(F_IN, F_OUT, heads=2, rng=rng)),
 ]
 

@@ -4,16 +4,7 @@ import numpy as np
 import pytest
 
 from repro.graph import Graph
-from repro.nn import (
-    ARMAConv,
-    ASDGNConv,
-    FusedGATConv,
-    GATConv,
-    GCNConv,
-    GINConv,
-    SAGEConv,
-    TransformerConv,
-)
+from repro.nn import ASDGNConv, FusedGATConv, GATConv, GCNConv, TransformerConv
 from repro.tensor import Tensor, scatter, sparse
 from tests.oracles import gcn_normalized_adjacency
 
@@ -29,15 +20,8 @@ ALL_CONVS = [
     ("gcn", lambda rng: GCNConv(4, 6, rng=rng)),
     ("gat", lambda rng: GATConv(4, 6, heads=2, rng=rng)),
     ("fusedgat", lambda rng: FusedGATConv(4, 6, heads=2, rng=rng)),
-    ("sage", lambda rng: SAGEConv(4, 6, rng=rng)),
-    ("gin", lambda rng: GINConv(4, 6, rng=rng)),
-    ("arma", lambda rng: ARMAConv(4, 6, rng=rng)),
     ("transformer", lambda rng: TransformerConv(4, 6, heads=2, rng=rng)),
 ]
-
-
-# The convs whose mask reweighting gives self-loops the mean incident weight.
-MASKED_CONVS = [c for c in ALL_CONVS if c[0] in ("gcn", "gat", "fusedgat", "transformer")]
 
 
 class TestShapesAndGradients:
@@ -66,7 +50,7 @@ class TestShapesAndGradients:
         assert any(g is not None and np.abs(g).sum() > 0 for g in grads)
 
 
-@pytest.mark.parametrize("name,builder", MASKED_CONVS, ids=[n for n, _ in MASKED_CONVS])
+@pytest.mark.parametrize("name,builder", ALL_CONVS, ids=[n for n, _ in ALL_CONVS])
 def test_repeated_masked_forward_needs_no_layout_lookup(name, builder, toy, monkeypatch):
     """Every layout a masked forward and backward use, the self-loop
     weights' included, comes from the conv's edge cache: a repeat never
@@ -88,8 +72,9 @@ def test_repeated_masked_forward_needs_no_layout_lookup(name, builder, toy, monk
 class TestGCN:
     def test_matches_manual_normalized_aggregation(self, toy):
         graph, edge_index, x = toy
-        conv = GCNConv(4, 3, bias=False, rng=np.random.default_rng(0))
-        expected = gcn_normalized_adjacency(graph) @ (x.data @ conv.weight.data)
+        conv = GCNConv(4, 3, rng=np.random.default_rng(0))
+        conv.bias.data[:] = [0.5, -1.0, 2.0]
+        expected = gcn_normalized_adjacency(graph) @ (x.data @ conv.weight.data) + conv.bias.data
         np.testing.assert_allclose(conv(x, edge_index, 4).data, expected, atol=1e-10)
 
     def test_masked_uniform_scaling_invariance(self, toy):
@@ -153,30 +138,12 @@ class TestGAT:
             total = conv.last_attention[dst == node].sum()
             np.testing.assert_allclose(total, 1.0, atol=1e-10)
 
-    def test_concat_false_averages_heads(self, toy):
-        graph, edge_index, x = toy
-        conv = GATConv(4, 6, heads=2, concat=False, rng=np.random.default_rng(0))
-        assert conv(x, edge_index, 4).shape == (4, 6)
-
     def test_indivisible_heads_raise(self):
         with pytest.raises(ValueError):
             GATConv(4, 5, heads=2, rng=np.random.default_rng(0))
 
 
 class TestOthers:
-    def test_sage_isolated_node_gets_self_term_only(self):
-        graph = Graph.from_edges(3, np.array([(0, 1)]), features=np.eye(3))
-        conv = SAGEConv(3, 2, rng=np.random.default_rng(0))
-        out = conv(Tensor(graph.features), graph.edge_index(), 3)
-        expected = graph.features[2] @ conv.weight_self.data + conv.bias.data
-        np.testing.assert_allclose(out.data[2], expected, atol=1e-12)
-
-    def test_gin_eps_is_trainable(self, toy):
-        graph, edge_index, x = toy
-        conv = GINConv(4, 6, rng=np.random.default_rng(0))
-        conv(x, edge_index, 4).sum().backward()
-        assert conv.eps.grad is not None
-
     def test_asdgn_requires_matching_width(self, toy):
         graph, edge_index, x = toy
         conv = ASDGNConv(8, rng=np.random.default_rng(0))

@@ -11,15 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn import (
-    ARMAConv,
-    FusedGATConv,
-    GATConv,
-    GCNConv,
-    GINConv,
-    SAGEConv,
-    TransformerConv,
-)
+from repro.nn import FusedGATConv, GATConv, GCNConv, TransformerConv
 from repro.tensor import Tensor
 
 settings.register_profile("equivariance", max_examples=10, deadline=None)
@@ -31,9 +23,6 @@ CONVS = [
     ("gcn", lambda rng: GCNConv(F_IN, F_OUT, rng=rng)),
     ("gat", lambda rng: GATConv(F_IN, F_OUT, heads=2, rng=rng)),
     ("fusedgat", lambda rng: FusedGATConv(F_IN, F_OUT, heads=2, rng=rng)),
-    ("sage", lambda rng: SAGEConv(F_IN, F_OUT, rng=rng)),
-    ("gin", lambda rng: GINConv(F_IN, F_OUT, rng=rng)),
-    ("arma", lambda rng: ARMAConv(F_IN, F_OUT, rng=rng)),
     ("transformer", lambda rng: TransformerConv(F_IN, F_OUT, heads=2, rng=rng)),
 ]
 

@@ -1,6 +1,5 @@
 """obs-diff: metric extraction, regression gating, CLI exit codes."""
 
-import io
 import json
 
 import pytest

@@ -8,10 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs.metrics import (
-    Counter,
     DEFAULT_BUCKETS,
-    Gauge,
-    Histogram,
     MetricsRegistry,
     TRAINING_FAMILIES,
     default_registry,

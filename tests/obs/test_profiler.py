@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.obs import OpProfiler, active_profiler
+from repro.obs import OpProfiler
 from repro.obs.profiler import BETWEEN_OPS, _op_name
 from repro.tensor import Tensor, edge_spmm, gather_rows, segment_sum
 
@@ -23,7 +23,6 @@ class TestDisabledMode:
         a = Tensor([1.0, 2.0], requires_grad=True)
         (a * 2.0).sum().backward()
         assert Tensor.__dict__["_make"].__func__ is before
-        assert active_profiler() is None
 
     def test_no_hook_objects_on_recorded_closures(self):
         # Backward closures must be the op's own closure, not a timing
@@ -46,11 +45,12 @@ class TestDisabledMode:
 
     def test_make_restored_after_exception(self):
         before = _pristine_make()
+        profiler = OpProfiler()
         with pytest.raises(RuntimeError):
-            with OpProfiler():
+            with profiler:
                 raise RuntimeError("boom")
         assert Tensor.__dict__["_make"].__func__ is before
-        assert active_profiler() is None
+        assert not profiler.enabled
 
 
 class TestEnabledCounts:

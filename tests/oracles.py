@@ -5,6 +5,8 @@
   library's CSR segment kernels must agree with them to float summation
   order (``tests/tensor/test_scatter_differential.py``), and their own
   gradients are pinned by ``tests/tensor/test_gradcheck_ops.py``.
+* A dense ``softmax`` with its own adjoint, the reference for
+  ``repro.tensor.functional.log_softmax``.
 * The Kipf–Welling operator ``D̂^{-1/2}(A + I)D̂^{-1/2}`` as a dense matrix,
   the oracle for the edge-list form ``repro.graph.gcn_edge_norm`` and for
   ``GCNConv``.
@@ -60,6 +62,19 @@ def segment_softmax(scores: Tensor, segment_ids: np.ndarray, num_segments: int) 
     exp = (scores - as_tensor(seg_max[segment_ids])).exp()
     denom = segment_sum(exp, segment_ids, num_segments)
     return exp / gather_rows(denom, segment_ids)
+
+
+def softmax(x: Tensor, axis: int = -1) -> Tensor:
+    """Numerically stable softmax along ``axis``."""
+    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+    exp = np.exp(shifted)
+    out_data = exp / exp.sum(axis=axis, keepdims=True)
+
+    def backward(grad: np.ndarray) -> None:
+        inner = (grad * out_data).sum(axis=axis, keepdims=True)
+        x._accumulate(out_data * (grad - inner))
+
+    return Tensor._make(out_data, (x,), backward)
 
 
 def gcn_normalized_adjacency(graph: Graph) -> np.ndarray:

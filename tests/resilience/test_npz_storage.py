@@ -14,17 +14,17 @@ import pytest
 from repro.core import SESTrainer, fast_config
 from repro.datasets import load_dataset
 from repro.graph import classification_split, pack_graph
-from repro.io import load_checkpoint, load_graph, save_checkpoint, save_graph
+from repro.io import load_graph, save_graph
 from repro.resilience import (
     CheckpointError,
     array_checksum,
     atomic_savez,
-    corrupt_file,
     find_latest_snapshot,
     load_snapshot,
     write_latest_pointer,
 )
 from repro.serve import load_serving_state
+from tests.damage import corrupt_file
 
 EPOCHS = (3, 2)  # explainable, predictive
 
@@ -68,11 +68,9 @@ def _tobytes_checksum(array):
 def test_every_member_atomic_savez_writes_is_stored(fitted, tmp_path):
     trainer, _, directory = fitted
     save_graph(trainer.graph, tmp_path / "graph.npz")
-    save_checkpoint(trainer.model, tmp_path / "model.npz")
     paths = [
         directory / f"snap-predictive-{EPOCHS[1]:04d}.npz",
         tmp_path / "graph.npz",
-        tmp_path / "model.npz",
         atomic_savez(tmp_path / "plain", a=np.arange(5), b=np.eye(3), c=np.array(True)),
     ]
     for path in paths:
@@ -140,12 +138,6 @@ def test_deflated_io_files_still_load(fitted, tmp_path):
     assert packed.keys() == expected.keys()
     for key, value in expected.items():
         np.testing.assert_array_equal(packed[key], value, err_msg=key)
-
-    save_checkpoint(trainer.model, tmp_path / "model.npz")
-    model = SESTrainer(trainer.graph, trainer.config).model
-    load_checkpoint(model, _deflate(tmp_path / "model.npz", tmp_path / "deflated-model.npz"))
-    for key, value in trainer.model.state_dict().items():
-        np.testing.assert_array_equal(model.state_dict()[key], value, err_msg=key)
 
 
 # ----------------------------------------------------------------------

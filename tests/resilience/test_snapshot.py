@@ -9,15 +9,14 @@ from repro.graph import classification_split
 from repro.resilience import (
     CheckpointError,
     array_checksum,
-    corrupt_file,
     find_latest_snapshot,
     load_snapshot,
     save_snapshot,
-    truncate_file,
     write_latest_pointer,
 )
 from repro.tensor import Adam, Tensor
 from repro.utils import capture_rng_state, restore_rng_state
+from tests.damage import corrupt_file, truncate_file
 
 
 def _config(**overrides):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import http.client
 import json
-import threading
 import time
 from pathlib import Path
 

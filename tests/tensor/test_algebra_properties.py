@@ -1,7 +1,6 @@
 """Algebraic property tests for the autograd engine (hypothesis)."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays

@@ -76,7 +76,6 @@ CASES = {
     "elu": _case(F.elu, (3, 4)),
     "sigmoid": _case(F.sigmoid, (3, 4)),
     "tanh": _case(F.tanh, (3, 4)),
-    "softmax": _case(F.softmax, (3, 4)),
     "log_softmax": _case(F.log_softmax, (3, 4)),
     "concatenate": _case(lambda a, b: F.concatenate([a, b], axis=0), (3, 4), (2, 4)),
     "stack": _case(lambda a, b: F.stack([a, b]), (3, 4), (3, 4)),

@@ -5,7 +5,8 @@ Each test pins one op's analytic backward against central differences via
 < 1e-5).  The scatter ops are checked on both the library's CSR kernels
 and the dense ``np.add.at`` reference in ``tests/oracles.py`` (the oracle of
 the differential tests), including duplicate destinations and an empty
-segment; the conv sweep runs one forward of each of the eight layers.
+segment; the conv sweep runs one forward of each of the five layers.
+``softmax`` exists only as the reference in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -15,16 +16,7 @@ import pytest
 import scipy.sparse as sp
 
 import repro.tensor
-from repro.nn import (
-    ARMAConv,
-    ASDGNConv,
-    FusedGATConv,
-    GATConv,
-    GCNConv,
-    GINConv,
-    SAGEConv,
-    TransformerConv,
-)
+from repro.nn import ASDGNConv, FusedGATConv, GATConv, GCNConv, TransformerConv
 from repro.tensor import (
     MLP,
     Tensor,
@@ -141,7 +133,7 @@ class TestFunctionalGradients:
         assert_grad_close(F.relu, _kink_free((4, 3)))
 
     def test_leaky_relu(self):
-        assert_grad_close(lambda t: F.leaky_relu(t, 0.2), _kink_free((4, 3)))
+        assert_grad_close(F.leaky_relu, _kink_free((4, 3)))
 
     def test_elu(self):
         assert_grad_close(lambda t: F.elu(t, alpha=1.0), _kink_free((4, 3)))
@@ -153,7 +145,7 @@ class TestFunctionalGradients:
         assert_grad_close(F.tanh, _param((4, 3)))
 
     def test_softmax(self):
-        assert_grad_close(lambda t: F.softmax(t, axis=-1), _param((3, 4)))
+        assert_grad_close(lambda t: oracles.softmax(t, axis=-1), _param((3, 4)))
 
     def test_log_softmax(self):
         assert_grad_close(lambda t: F.log_softmax(t, axis=-1), _param((3, 4)))
@@ -207,7 +199,7 @@ class TestFunctionalGradients:
 
 
 # ----------------------------------------------------------------------
-# One forward of each of the eight conv layers
+# One forward of each of the five conv layers
 # ----------------------------------------------------------------------
 N, F_IN, F_OUT = 5, 3, 4
 CONV_EDGES = np.array([[0, 1, 2, 3, 4, 0], [1, 2, 3, 4, 0, 2]], dtype=np.int64)
@@ -216,9 +208,6 @@ CONVS = [
     ("gcn", lambda rng: GCNConv(F_IN, F_OUT, rng=rng)),
     ("gat", lambda rng: GATConv(F_IN, F_OUT, heads=2, rng=rng)),
     ("fusedgat", lambda rng: FusedGATConv(F_IN, F_OUT, heads=2, rng=rng)),
-    ("sage", lambda rng: SAGEConv(F_IN, F_OUT, rng=rng)),
-    ("gin", lambda rng: GINConv(F_IN, F_OUT, rng=rng)),
-    ("arma", lambda rng: ARMAConv(F_IN, F_OUT, num_stacks=2, num_layers=2, rng=rng)),
     ("transformer", lambda rng: TransformerConv(F_IN, F_OUT, heads=2, rng=rng)),
     ("asdgn", lambda rng: ASDGNConv(F_IN, num_iters=2, rng=rng)),
 ]

@@ -63,10 +63,6 @@ class TestTensorRemaining:
         duplicate.data[0] = 99.0
         assert original.data[0] == 1.0
 
-    def test_numpy_returns_underlying(self):
-        tensor = Tensor([1.0])
-        assert tensor.numpy() is tensor.data
-
     def test_named_tensor_repr(self):
         tensor = Tensor([1.0], name="weights")
         assert "weights" in repr(tensor)

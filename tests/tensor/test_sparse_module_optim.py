@@ -72,11 +72,9 @@ class TestModule:
         assert sum(param.size for param in net.parameters()) == 3 * 4 + 4 + 4 * 2 + 2
 
     def test_train_eval_propagates(self, rng):
-        net = MLP((2, 4, 2), dropout=0.5, rng=rng)
-        x = Tensor(np.ones((8, 2)))
+        net = MLP((2, 4, 2), rng=rng)
         net.eval()
         assert not any(layer.training for layer in net.linears)
-        np.testing.assert_array_equal(net(x).data, net(x).data)  # dropout inert
         net.train()
         assert all(layer.training for layer in net.linears)
 

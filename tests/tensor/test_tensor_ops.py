@@ -30,11 +30,6 @@ class TestConstruction:
     def test_repr_mentions_shape(self):
         assert "shape=(2,)" in repr(Tensor([1.0, 2.0]))
 
-    def test_detach_cuts_graph(self):
-        a = Tensor([2.0], requires_grad=True)
-        b = (a * 3).detach()
-        assert not b.requires_grad
-
     def test_len_and_size(self):
         t = Tensor(np.zeros((3, 4)))
         assert len(t) == 3

@@ -4,8 +4,6 @@ import numpy as np
 
 from repro import io
 from repro.graph import Graph
-from repro.nn import GraphEncoder
-from repro.tensor import Tensor
 
 
 class TestGraphRoundtrip:
@@ -37,45 +35,3 @@ class TestGraphRoundtrip:
         assert loaded.labels is None
         assert loaded.train_mask is None
 
-
-class TestCheckpointRoundtrip:
-    def test_encoder_state(self, tmp_path):
-        a = GraphEncoder(6, 8, 3, rng=np.random.default_rng(0))
-        b = GraphEncoder(6, 8, 3, rng=np.random.default_rng(1))
-        path = tmp_path / "model.npz"
-        io.save_checkpoint(a, path)
-        io.load_checkpoint(b, path)
-        for (name_a, param_a), (name_b, param_b) in zip(
-            a.named_parameters(), b.named_parameters()
-        ):
-            assert name_a == name_b
-            np.testing.assert_allclose(param_a.data, param_b.data)
-
-    def test_loaded_model_computes_identically(self, tmp_path, small_cora):
-        a = GraphEncoder(small_cora.num_features, 8, small_cora.num_classes,
-                         dropout=0.0, rng=np.random.default_rng(0))
-        b = GraphEncoder(small_cora.num_features, 8, small_cora.num_classes,
-                         dropout=0.0, rng=np.random.default_rng(1))
-        path = tmp_path / "model.npz"
-        io.save_checkpoint(a, path)
-        io.load_checkpoint(b, path)
-        x = Tensor(small_cora.features)
-        edge_index = small_cora.edge_index()
-        out_a = a(x, edge_index, small_cora.num_nodes).data
-        out_b = b(x, edge_index, small_cora.num_nodes).data
-        np.testing.assert_allclose(out_a, out_b)
-
-
-class TestExplanationsRoundtrip:
-    def test_roundtrip(self, tmp_path, small_cora):
-        from repro.core import SESTrainer, fast_config
-
-        trainer = SESTrainer(small_cora, fast_config(explainable_epochs=5, predictive_epochs=1))
-        trainer.train_explainable()
-        explanations = trainer.explanations()
-        path = tmp_path / "explanations.npz"
-        io.save_explanations(explanations, path)
-        loaded = io.load_explanations(path)
-        np.testing.assert_allclose(loaded.feature_mask, explanations.feature_mask)
-        assert (loaded.structure_mask != explanations.structure_mask).nnz == 0
-        assert loaded.ranked_neighbors(0) == explanations.ranked_neighbors(0)

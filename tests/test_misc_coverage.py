@@ -1,7 +1,6 @@
 """Cross-cutting coverage: ASDGN stability, SEGNN internals, misc paths."""
 
 import numpy as np
-import pytest
 
 from repro.graph import Graph
 from repro.models.segnn import _neighborhood_jaccard

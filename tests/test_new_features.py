@@ -1,5 +1,5 @@
 """Tests for reproduction-specific features added on top of the paper:
-sensitivity explanations, scorer temperature, deep encoders, CLI."""
+sensitivity explanations, scorer temperature, CLI."""
 
 from dataclasses import replace
 
@@ -8,9 +8,6 @@ import pytest
 
 from repro.core import MaskGenerator, SESConfig, SESTrainer, fast_config
 from repro.core.ses import explanation_edge_values
-from repro.datasets import cora_like
-from repro.graph import classification_split
-from repro.nn import GraphEncoder
 from repro.tensor import Tensor, pair_mlp
 
 
@@ -79,37 +76,6 @@ class TestScorerOptions:
         # Dividing the logits by 3 pulls every score towards 0.5.
         raw = 1.0 / (1.0 + np.exp(-logits))
         assert np.abs(scores - 0.5).mean() < np.abs(raw - 0.5).mean()
-
-
-class TestDeepEncoder:
-    def test_three_layer_forward(self, rng):
-        edges = np.array([[0, 1, 2, 3], [1, 2, 3, 0]])
-        encoder = GraphEncoder(4, 8, 2, num_layers=3, rng=np.random.default_rng(0))
-        out = encoder(Tensor(np.eye(4)), edges, 4)
-        assert out.shape == (4, 2)
-        assert len(encoder.middle_convs) == 1
-
-    def test_deep_encoder_trains(self, rng):
-        from repro.tensor import Adam, functional as F
-
-        edges = np.array([[0, 1, 2, 3], [1, 2, 3, 0]])
-        encoder = GraphEncoder(4, 8, 2, num_layers=4, dropout=0.0,
-                               rng=np.random.default_rng(0))
-        optimizer = Adam(encoder.parameters(), lr=0.01)
-        labels = np.array([0, 1, 0, 1])
-        x = Tensor(np.eye(4))
-        losses = []
-        for _ in range(40):
-            optimizer.zero_grad()
-            loss = F.cross_entropy(encoder(x, edges, 4), labels)
-            loss.backward()
-            optimizer.step()
-            losses.append(loss.item())
-        assert losses[-1] < losses[0]
-
-    def test_rejects_single_layer(self):
-        with pytest.raises(ValueError):
-            GraphEncoder(4, 8, 2, num_layers=1)
 
 
 class TestCLI:

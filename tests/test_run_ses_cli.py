@@ -75,6 +75,26 @@ def test_missing_resume_path_is_a_usage_error_before_any_work(no_work, capsys, t
     assert line.endswith(f"error: --resume: no such file or directory: {missing}")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--backbone", "bogus", "--scale", "0.15"],
+         "error: --backbone: unknown backbone 'bogus'; "
+         "expected one of ('gcn', 'gat', 'fusedgat')"),
+        (["--dataset", "bogus"],
+         "error: --dataset: unknown dataset 'bogus'; expected one of ('citeseer', "
+         "'cora', 'cs', 'polblogs', 'ba_community', 'ba_shapes', 'tree_cycle', 'tree_grid')"),
+    ],
+    ids=["backbone", "dataset"],
+)
+def test_unknown_choice_is_a_usage_error_before_any_work(no_work, capsys, argv, message):
+    with pytest.raises(SystemExit) as exit_info:
+        run_ses.main(argv)
+    assert exit_info.value.code == 2
+    (line,) = _error_lines(capsys.readouterr().err)
+    assert line.endswith(message)
+
+
 def test_damaged_checkpoint_is_one_line(capsys, tmp_path):
     (tmp_path / "snap-explainable-0002.npz").write_bytes(b"not a snapshot")
     assert run_ses.main(SMALL_RUN + ["--resume", str(tmp_path)]) == 1

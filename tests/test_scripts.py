@@ -1,7 +1,6 @@
 """Tests for the repository scripts (EXPERIMENTS.md builder, self-check)."""
 
 import importlib.util
-import sys
 from pathlib import Path
 
 import pytest

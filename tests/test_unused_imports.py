@@ -1,9 +1,12 @@
-"""No library module imports a name it never uses.
+"""No module imports a name it never uses.
 
-The check reads every non-``__init__`` module under ``src/repro`` as an
-AST and never imports anything.  An imported name counts as used when the
-module refers to it anywhere: as a plain name, as the base of an attribute
-access, inside a quoted annotation (``-> "Tensor"``) or in ``__all__``.
+The check reads every non-``__init__`` module under ``src/repro``,
+``tests/``, ``benchmarks/``, ``scripts/`` and ``examples/`` as an AST and
+never imports anything.  ``perfbench/`` is left out: it is the benchmark
+harness, which stays byte-stable between the commits it compares.  An
+imported name counts as used when the module refers to it anywhere: as a
+plain name, as the base of an attribute access, inside a quoted annotation
+(``-> "Tensor"``) or in ``__all__``.
 Package ``__init__`` files are left out, because their imports are the
 re-exports that make up the package's surface.
 """
@@ -13,7 +16,9 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+REPO = Path(__file__).resolve().parent.parent
+SRC = REPO / "src" / "repro"
+SCRIPT_DIRS = ("tests", "benchmarks", "scripts", "examples")
 
 
 def _imported(tree: ast.Module) -> dict:
@@ -78,14 +83,30 @@ def unused_imports(source: str) -> list:
     )
 
 
+def _unused_in(paths) -> list:
+    return [
+        f"{path.relative_to(REPO)}:{line}: {name}"
+        for path in paths
+        for line, name in unused_imports(path.read_text())
+    ]
+
+
 def test_library_modules_use_every_import():
     modules = [path for path in sorted(SRC.rglob("*.py")) if path.name != "__init__.py"]
     assert len(modules) > 50
-    unused = [
-        f"{path.relative_to(SRC.parent)}:{line}: {name}"
-        for path in modules
-        for line, name in unused_imports(path.read_text())
+    unused = _unused_in(modules)
+    assert unused == [], "imported but never used:\n" + "\n".join(unused)
+
+
+def test_tests_and_programs_use_every_import():
+    files = [
+        path
+        for directory in SCRIPT_DIRS
+        for path in sorted((REPO / directory).rglob("*.py"))
+        if path.name != "__init__.py"
     ]
+    assert len(files) > 100
+    unused = _unused_in(files)
     assert unused == [], "imported but never used:\n" + "\n".join(unused)
 
 

@@ -2,7 +2,6 @@
 
 import time
 
-import numpy as np
 import pytest
 
 from repro.utils import (
